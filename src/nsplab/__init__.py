@@ -11,6 +11,7 @@ from .dictionary import Dictionary, full_spark_check, make_dictionary
 from .errors import (
     BudgetExceededError,
     DomainError,
+    LpSolveError,
     NotFullSparkError,
     NsplabError,
     NspRequiredError,

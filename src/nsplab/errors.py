@@ -19,3 +19,7 @@ class NotFullSparkError(NsplabError):
 
 class NspRequiredError(NsplabError):
     """An experiment requires the base dictionary to satisfy the null space property."""
+
+
+class LpSolveError(NsplabError):
+    """An LP solve hit the pivot budget or ended without the optimum its caller needs."""

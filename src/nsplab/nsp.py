@@ -2,10 +2,22 @@
 
 The stable NSP of order s holds for a matrix A when every nonzero kernel
 vector x satisfies ||x_T||_1 < gamma ||x_{T^c}||_1 for all supports |T| <= s
-and some gamma < 1.  At desk scale this is decided exactly: for each support
-and sign pattern, a small LP over the kernel parametrization maximizes the
-signed head mass subject to unit tail mass, and gamma_star is the largest
-value found.  The violating set
+and some gamma < 1.  At desk scale this is decided exactly.  With x scaled
+to ||x||_1 = 1, the ratio head / tail equals alpha / (1 - alpha) for the
+head mass alpha = max_{|T|=s} ||x_T||_1, a convex function of x.  Its
+maximum over the polytope {x in ker A : ||x||_1 <= 1} sits at an extreme
+point, and the extreme points are the normalized circuits (kernel vectors of
+minimal support).  So gamma_star is the largest ratio over the circuits,
+with T the s largest entries, and certify_nsp enumerates them: each
+(k-1)-subset of coordinates, k = dim ker A, pins down at most one, C(n, k-1)
+candidates in all.  When that count exceeds the budget, the LP route runs
+instead if its C(n, s) 2^(s-1) support LPs fit: for each support and sign
+pattern, a small LP over the kernel parametrization maximizes the signed
+head mass subject to unit tail mass.  Past both budgets the certificate is
+refused; the problem is NP-hard in general (Tillmann & Pfetsch, IEEE T-IT
+2014).
+
+The violating set
 
     S_gamma = {x on the unit sphere : ||x_T||_1 >= gamma ||x_{T^c}||_1
               for some |T| <= s}
@@ -24,12 +36,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .dictionary import Dictionary, full_spark_check
-from .errors import BudgetExceededError, DomainError, NotFullSparkError
-from .numerics import as_matrix, as_vector, kernel_basis
+from .errors import BudgetExceededError, DomainError, LpSolveError, NotFullSparkError
+from .numerics import RANK_TOL, as_matrix, as_vector, kernel_basis
 from .rng import RngStream
 from .simplex import LpProblem, solve_lp
 
-LP_BUDGET = 10**6
+CERT_BUDGET = 10**6    # circuit candidates or LPs, whichever route runs
+_CIRCUIT_CHUNK = 64    # (k-1)-subsets per batched SVD
 
 
 @dataclass(frozen=True)
@@ -54,7 +67,8 @@ class NspCertificate:
     tol: float
     witness_support: tuple | None    # support T achieving gamma_star
     witness: np.ndarray | None       # kernel vector with unit tail l1 mass
-    per_support_values: tuple        # ((T, best value over sign patterns), ...)
+    method: str                      # 'circuits' | 'lp'
+    evaluated: int                   # circuit candidates or LPs evaluated
 
     @property
     def holds(self) -> bool:
@@ -113,58 +127,103 @@ def _support_lp(N, T, signs, n, tol):
     problem = LpProblem.build(obj, rows, rhs, ["<="] * (2 * nt + 1), bounds=bounds)
     res = solve_lp(problem, tol=tol)
     if res.status != "optimal":
-        raise RuntimeError(f"support LP ended with status {res.status}")
+        raise LpSolveError(f"support LP for T = {T} ended with status {res.status}")
     return res.value, N @ res.x[:k]
 
 
-def certify_nsp(A, s: int, tol: float = 1e-9, budget: int = LP_BUDGET) -> NspCertificate:
+def _certify_circuits(N, s):
+    """gamma_star as the largest head/tail ratio over the kernel's circuits.
+
+    Each (k-1)-subset Z of coordinates yields the kernel vector N c with
+    N[Z] c = 0.  When N[Z] has rank k-1 that vector is the circuit vanishing
+    on Z, and every circuit arises this way; otherwise it is some other
+    kernel vector, which cannot exceed gamma_star.  Subsets are taken
+    _CIRCUIT_CHUNK at a time, so memory stays flat in C(n, k-1).
+    Returns (gamma_star, T, witness, candidates evaluated).
+    """
+    n, k = N.shape
+    subsets = itertools.combinations(range(n), k - 1)
+    best, best_x, evaluated = -1.0, None, 0
+    while True:
+        chunk = list(itertools.islice(subsets, _CIRCUIT_CHUNK))
+        if not chunk:
+            break
+        # The last right singular vector of each (k-1) x k block spans its null space.
+        X = np.linalg.svd(N[np.array(chunk, dtype=np.intp)])[2][:, -1, :] @ N.T
+        a = np.sort(np.abs(X), axis=1)
+        tail = a[:, : n - s].sum(axis=1)
+        head = a[:, n - s :].sum(axis=1)
+        with np.errstate(divide="ignore"):
+            ratio = np.where(tail > RANK_TOL * (head + tail), head / tail, math.inf)
+        evaluated += len(chunk)
+        i = int(np.argmax(ratio))
+        if ratio[i] > best:
+            best = float(ratio[i])
+            if best == math.inf:
+                best_x = X[i]
+                break
+            best_x = X[i] / tail[i]
+    T = tuple(sorted(int(j) for j in np.argsort(-np.abs(best_x), kind="stable")[:s]))
+    return best, T, best_x, evaluated
+
+
+def _certify_lp(N, s, tol):
+    """gamma_star by one LP per support T and sign pattern on T.
+
+    x -> -x maps each sign pattern onto its negation, so the first sign is
+    fixed to +1 and 2^(s-1) patterns suffice.  A kernel direction vanishing
+    on some T^c makes the ratio infinite and returns at once.
+    Returns (gamma_star, T, witness, LPs solved).
+    """
+    n = N.shape[0]
+    best, best_T, best_x, evaluated = 0.0, None, None, 0
+    for T in itertools.combinations(range(n), s):
+        Tc = [j for j in range(n) if j not in T]
+        Z = kernel_basis(N[Tc, :])
+        if Z.shape[1] > 0:
+            return math.inf, T, N @ Z[:, 0], evaluated
+        for signs in itertools.product((1.0, -1.0), repeat=s - 1):
+            value, x = _support_lp(N, T, (1.0,) + signs, n, tol)
+            evaluated += 1
+            if value > best:
+                best, best_T, best_x = value, T, x
+    return best, best_T, best_x, evaluated
+
+
+def certify_nsp(A, s: int, tol: float = 1e-9, budget: int = CERT_BUDGET) -> NspCertificate:
     """Exact stable-NSP certificate for A at sparsity s.
 
     gamma_star is the supremum of ||x_T||_1 / ||x_{T^c}||_1 over nonzero
     kernel vectors and |T| = s; the verdict holds iff gamma_star < 1 - tol.
-    A kernel vector supported entirely inside some T makes the ratio
-    infinite; that case is detected directly and wins immediately.
+    The circuit route runs when its C(n, k-1) candidates fit the budget
+    (k the kernel dimension), else the LP route when its C(n, s) 2^(s-1)
+    LPs do; past both, BudgetExceededError.  The witness is a kernel vector
+    with unit tail mass and head mass gamma_star on witness_support, or,
+    when gamma_star is infinite, a kernel vector supported inside it.
     """
     M = as_matrix(A)
     n = M.shape[1]
     if not (1 <= s <= n):
         raise DomainError(f"s must lie in [1, {n}], got {s}")
-    cost = math.comb(n, s) * (2**s)
-    if cost > budget:
-        raise BudgetExceededError(f"certification needs {cost} LPs, budget is {budget}")
     N = kernel_basis(M)
-    if N.shape[1] == 0:
-        return NspCertificate(0.0, "holds", s, tol, None, None, ())
-
-    gamma_star = 0.0
-    witness = None
-    witness_support = None
-    per_support = []
-    for T in itertools.combinations(range(n), s):
-        Tc = [j for j in range(n) if j not in T]
-        # Unbounded ray: a kernel direction vanishing on T^c.
-        Z = kernel_basis(N[Tc, :])
-        if Z.shape[1] > 0:
-            x = N @ Z[:, 0]
-            per_support.append((T, math.inf))
-            return NspCertificate(
-                math.inf, "fails", s, tol, T, x, tuple(per_support)
-            )
-        best_here = 0.0
-        best_x = None
-        for signs in itertools.product((1.0, -1.0), repeat=s):
-            value, x = _support_lp(N, T, signs, n, tol)
-            if value > best_here:
-                best_here, best_x = value, x
-        per_support.append((T, best_here))
-        if best_here > gamma_star:
-            gamma_star = best_here
-            witness = best_x
-            witness_support = T
+    k = N.shape[1]
+    if k == 0:
+        return NspCertificate(0.0, "holds", s, tol, None, None, "circuits", 0)
+    circuits = math.comb(n, k - 1)
+    lps = math.comb(n, s) * 2 ** (s - 1)
+    if circuits <= budget:
+        method = "circuits"
+        gamma_star, T, witness, evaluated = _certify_circuits(N, s)
+    elif lps <= budget:
+        method = "lp"
+        gamma_star, T, witness, evaluated = _certify_lp(N, s, tol)
+    else:
+        raise BudgetExceededError(
+            f"certification needs {circuits} circuit candidates or {lps} LPs, "
+            f"budget is {budget}"
+        )
     verdict = "holds" if gamma_star < 1.0 - tol else "fails"
-    return NspCertificate(
-        gamma_star, verdict, s, tol, witness_support, witness, tuple(per_support)
-    )
+    return NspCertificate(gamma_star, verdict, s, tol, T, witness, method, evaluated)
 
 
 def certificate_to_json(cert: NspCertificate) -> dict:
@@ -175,6 +234,8 @@ def certificate_to_json(cert: NspCertificate) -> dict:
         "witness_vector": cert.witness.tolist() if cert.witness is not None else None,
         "s": cert.s,
         "tol": cert.tol,
+        "method": cert.method,
+        "evaluated": cert.evaluated,
     }
 
 

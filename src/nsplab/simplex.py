@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, LpSolveError
 from .numerics import as_matrix, as_vector
 
 _MAX_PIVOTS = 100_000
@@ -62,9 +62,9 @@ class LpResult:
 def _pivot(T, zrow, basis, r, c):
     T[r] /= T[r, c]
     col = T[:, c].copy()
-    for i in range(T.shape[0]):
-        if i != r and col[i] != 0.0:
-            T[i] -= col[i] * T[r]
+    col[r] = 0.0
+    rows = np.flatnonzero(col)
+    T[rows] -= np.outer(col[rows], T[r])
     if zrow[c] != 0.0:
         zrow -= zrow[c] * T[r]
     basis[r] = c
@@ -82,11 +82,15 @@ def _run_simplex(T, zrow, basis, allowed, tol):
                 break
         if entering < 0:
             return "optimal", pivots
+        # A pivot element must be large against its column too: one of 2e-9
+        # beside entries of 9e3 passes an absolute tol yet wrecks the tableau.
+        column = T[:, entering]
+        pivot_tol = tol * max(1.0, float(np.abs(column).max(initial=0.0)))
         best_ratio = None
         leave = -1
         for i in range(m):
-            a = T[i, entering]
-            if a > tol:
+            a = column[i]
+            if a > pivot_tol:
                 ratio = T[i, -1] / a
                 if (
                     best_ratio is None
@@ -100,7 +104,7 @@ def _run_simplex(T, zrow, basis, allowed, tol):
         _pivot(T, zrow, basis, leave, entering)
         pivots += 1
         if pivots > _MAX_PIVOTS:
-            raise RuntimeError("simplex exceeded the pivot budget")
+            raise LpSolveError(f"simplex exceeded the pivot budget of {_MAX_PIVOTS}")
 
 
 def solve_lp(problem: LpProblem, tol: float = 1e-9) -> LpResult:

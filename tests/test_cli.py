@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from nsplab import nsp, simplex
 from nsplab.cli import main
 from nsplab.numerics import write_matrix_text, write_vector_text
+from nsplab.rng import RngStream
+from nsplab.simplex import LpResult
 from nsplab.smallball import BoundInputs, m_min
 
 
@@ -22,6 +25,21 @@ def test_nsp_check(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "holds"
     assert payload["gamma_star"] == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("failure", ["pivot_budget", "not_optimal"])
+def test_nsp_check_lp_failure_exits_1(tmp_path, capsys, monkeypatch, failure):
+    # C(30, 14) circuit candidates exceed the budget, so s = 1 runs 30 LPs
+    path = tmp_path / "A.txt"
+    write_matrix_text(path, RngStream(9).normal((15, 30)))
+    if failure == "pivot_budget":
+        monkeypatch.setattr(simplex, "_MAX_PIVOTS", 0)
+    else:
+        monkeypatch.setattr(nsp, "solve_lp", lambda problem, tol: LpResult("unbounded", None, None, 0))
+    code, out, err = run_cli(capsys, "nsp-check", "--A", str(path), "--s", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_nsp_check_missing_file(tmp_path, capsys):

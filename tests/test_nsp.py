@@ -7,6 +7,7 @@ from nsplab.dictionary import make_dictionary
 from nsplab.errors import BudgetExceededError, DomainError, NotFullSparkError
 from nsplab.nsp import (
     SgammaParams,
+    _certify_lp,
     certificate_to_json,
     certify_nsp,
     d_nsp_check,
@@ -129,8 +130,14 @@ class TestCertify:
         assert cert.witness is not None
 
     def test_budget_refusal(self):
+        # C(30, 28) = 435 circuit candidates; every circuit e_i - e_j fits in T
+        cert = certify_nsp(np.ones((1, 30)), 8)
+        assert cert.gamma_star == math.inf
+        assert cert.method == "circuits" and cert.evaluated <= 435
+        # C(40, 19) ~ 1.3e11 circuits and C(40, 8) * 2^7 ~ 9.8e9 LPs: both too many
+        A = RngStream(26).normal((20, 40))
         with pytest.raises(BudgetExceededError):
-            certify_nsp(np.ones((1, 30)), 8)
+            certify_nsp(A, 8)
 
     def test_matches_sampling_oracle(self):
         rng = RngStream(22)
@@ -185,6 +192,138 @@ class TestCertify:
         assert d["gamma_star"] == pytest.approx(0.5)
         assert len(d["witness_vector"]) == 3
         assert d["s"] == 1
+        assert d["method"] == "circuits"
+        assert d["evaluated"] == 1  # k = 1: the single (k-1)-subset is empty
+
+
+def lp_gamma_star(A, s):
+    return _certify_lp(kernel_basis(np.asarray(A, float)), s, 1e-9)[0]
+
+
+def assert_same_gamma(got, want):
+    if math.isinf(want):
+        assert got == math.inf
+    else:
+        # 1e-9 absolute, and relative once the ratio exceeds 1
+        assert got == pytest.approx(want, abs=1e-9, rel=1e-9)
+
+
+def _oracle_cases():
+    rng = RngStream(40)
+    base = rng.normal((4, 7))
+    ints = rng.substream("int")
+    return {
+        "duplicated-columns": np.column_stack([base, base[:, 2], base[:, 5]]),
+        "Dbad": np.column_stack([base, 2.0 * base[:, 0]]),
+        "identity": np.eye(5),
+        "integer-pairs": np.array([[1.0, 1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0, 1.0]]),
+        "integer-3x7": ints.integers(-2, 3, (3, 7)).astype(float),
+        "integer-4x6": ints.integers(-1, 2, (4, 6)).astype(float),
+        "zero-column": np.column_stack([rng.normal((3, 5)), np.zeros(3)]),
+        "k=1": rng.normal((5, 6)),
+        "zero-matrix": np.zeros((2, 4)),
+    }
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+class TestCircuitsVsLp:
+    """The circuit route against the LP route, its oracle, on degenerate inputs."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_degenerate_inputs(self, name):
+        A = ORACLE_CASES[name]
+        n = A.shape[1]
+        for s in sorted({1, 2, 3, n}):
+            cert = certify_nsp(A, s)
+            assert cert.method == "circuits"
+            assert_same_gamma(cert.gamma_star, lp_gamma_star(A, s))
+
+    def test_random_matrices(self):
+        rng = RngStream(41)
+        for trial in range(30):
+            sub = rng.substream(trial)
+            n = int(sub.integers(3, 11))
+            m = int(sub.integers(1, n))
+            A = sub.normal((m, n))
+            for s in range(1, min(3, n) + 1):
+                assert_same_gamma(certify_nsp(A, s).gamma_star, lp_gamma_star(A, s))
+
+    def test_forced_lp_fallback(self):
+        A = RngStream(42).normal((3, 8))  # k = 5: C(8, 4) = 70 circuit candidates
+        for s, lps in ((1, 8), (2, 56)):
+            circ = certify_nsp(A, s)
+            assert circ.method == "circuits" and circ.evaluated == 70
+            lp = certify_nsp(A, s, budget=lps)
+            assert lp.method == "lp" and lp.evaluated == lps
+            assert lp.gamma_star == pytest.approx(circ.gamma_star, abs=1e-9)
+            assert lp.verdict == circ.verdict
+            T = list(lp.witness_support)
+            assert np.abs(np.delete(lp.witness, T)).sum() == pytest.approx(1.0, abs=1e-7)
+            assert np.abs(lp.witness[T]).sum() == pytest.approx(lp.gamma_star, abs=1e-7)
+
+
+# Phi @ D of the preserve campaign with config seed 14011, m = 6, trial 1.
+# Its support LP for T = (4,) once pivoted on an element of 2.09e-9 in a
+# column reaching 9.2e3, and the corrupted tableau reported "unbounded".
+B14011 = np.array([
+    [0.6672459951976787, -1.3593799884215587, -0.7555102520001664, -0.41987475540564095,
+     0.003972072105557382, 0.8109848032347853, 0.6689966590218862, 0.05824203103953315,
+     0.08684660046605157, -0.5355677736438694, -0.46058965396498297, -1.1217774601658255,
+     -1.113556962725716, -1.212873376392934],
+    [-0.7348930193551146, 0.619698806399367, 0.15598354966743297, -1.4442426293397328,
+     -1.5271105438120056, 0.034302850854378536, 0.8821958374744346, -0.0646748265891834,
+     -0.11006178649560837, 0.6399680141976559, -0.7863077234660694, -2.7335648195905082,
+     1.2828021732446095, 0.018371083845191007],
+    [-0.1765075194881875, -0.4891661402802809, -0.763255888923446, -0.8439155785862595,
+     -0.04295620387624505, 0.23538785793221897, 2.0148094772832907, 0.21267372029945653,
+     -0.09567658403318713, 1.2092553681910487, -1.443570670386728, -1.0552028348735225,
+     0.7281975160667943, 0.47866137984408996],
+    [0.2881135466466828, 0.4568315307057653, 0.7091800699407894, -1.4609211873282453,
+     0.837141582540432, -1.4430902433000923, -0.6303537362715254, 0.002943668184072819,
+     -0.2980085357727154, -0.9750616610002173, 1.1772366763002065, -0.09963274269138232,
+     -0.11130969408338806, -0.16668722209161807],
+    [0.5451688523353048, 1.2377323975597392, 0.3983821424549936, 0.1545066112602592,
+     0.09610924688798063, -0.4479750456448037, -0.2641000839231238, 0.06185496320686659,
+     -0.6913724421200803, -0.3009787754012071, 0.5335031761761361, 0.1335028741708409,
+     -0.5512501546860479, -0.15562300189982278],
+    [0.10965447896683292, 0.43740553057054676, -0.8680863183152925, -0.20250977953758298,
+     0.19339551146068043, -0.11973980528622213, 1.2982130012513151, 0.3325134341855069,
+     -0.21176601821634672, 0.9391385814444361, -0.9556187852068371, -0.1332984240501252,
+     -0.20574338885316376, 0.33414106720643394],
+])
+
+
+class TestLpRouteRegression:
+    def test_matches_circuit_route(self):
+        lp = lp_gamma_star(B14011, 1)
+        assert lp == pytest.approx(1.9141967240286475, abs=1e-9)
+        assert certify_nsp(B14011, 1).gamma_star == pytest.approx(lp, abs=1e-9)
+
+    def test_matches_highs(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        N = kernel_basis(B14011)
+        n, k = N.shape
+        best = 0.0
+        for j in range(n):
+            # max N[j] c  s.t.  |N[i] c| <= t_i (i != j),  sum t <= 1
+            rest = np.delete(N, j, axis=0)
+            eye = np.eye(n - 1)
+            A_ub = np.vstack([
+                np.hstack([rest, -eye]),
+                np.hstack([-rest, -eye]),
+                np.hstack([np.zeros((1, k)), np.ones((1, n - 1))]),
+            ])
+            b_ub = np.concatenate([np.zeros(2 * (n - 1)), [1.0]])
+            res = optimize.linprog(
+                -np.concatenate([N[j], np.zeros(n - 1)]), A_ub=A_ub, b_ub=b_ub,
+                bounds=[(None, None)] * k + [(0.0, None)] * (n - 1), method="highs",
+            )
+            assert res.status == 0
+            best = max(best, -res.fun)
+        assert best == pytest.approx(1.9141967240286462, abs=1e-9)
+        assert lp_gamma_star(B14011, 1) == pytest.approx(best, abs=1e-9)
 
 
 class TestEstimateEta:

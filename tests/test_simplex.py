@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nsplab.rng import RngStream
-from nsplab.simplex import LpProblem, solve_lp
+from nsplab.simplex import LpProblem, _pivot, solve_lp
 
 
 def lp_vertex_oracle(problem, feas_tol=1e-7):
@@ -158,3 +158,33 @@ def test_deterministic_resolve():
     assert r1.value == r2.value
     assert np.array_equal(r1.x, r2.x)
     assert r1.iterations == r2.iterations
+
+
+def loop_pivot(T, zrow, basis, r, c):
+    """Row-by-row reference for the vectorized tableau pivot."""
+    T[r] /= T[r, c]
+    col = T[:, c].copy()
+    for i in range(T.shape[0]):
+        if i != r and col[i] != 0.0:
+            T[i] -= col[i] * T[r]
+    if zrow[c] != 0.0:
+        zrow -= zrow[c] * T[r]
+    basis[r] = c
+
+
+def test_pivot_matches_row_loop_bit_for_bit():
+    rng = RngStream(77)
+    for trial in range(40):
+        sub = rng.substream(trial)
+        m, w = int(sub.integers(2, 9)), int(sub.integers(3, 12))
+        T = sub.normal((m, w))
+        T[sub.uniform((m, w)) < 0.3] = 0.0  # zeros in the pivot column are skipped
+        zrow = sub.normal(w)
+        r, c = int(sub.integers(0, m)), int(sub.integers(0, w - 1))
+        T[r, c] = 0.5 + sub.uniform()
+        got = (T.copy(), zrow.copy(), list(range(m)))
+        want = (T.copy(), zrow.copy(), list(range(m)))
+        _pivot(*got, r, c)
+        loop_pivot(*want, r, c)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
