@@ -2,10 +2,9 @@
 
 Per Gaussian draw g, the supremum of <D^T g, x> over the violating set
 reduces (by permutation and sign symmetry) to a projection onto a convex
-cone, computed exactly by alternating projections.  A one-dimensional dual
-search gives a per-draw upper bound, and two closed forms bracket the
-estimates: a sparsity-aware bound ~ sqrt(s log(n/s)) and a crude operator
-norm bound ~ sqrt(n).
+cone, computed exactly from one closed-form multiplier per draw.  Two closed
+forms bracket the estimates: a sparsity-aware bound ~ sqrt(s log(n/s)) and a
+crude operator norm bound ~ sqrt(n).
 """
 
 from nsplab import (
@@ -15,7 +14,6 @@ from nsplab import (
     make_dictionary,
     theory_width_bound,
     unit_ball_width,
-    width_DS_gamma_dual,
     width_DS_gamma_mc,
 )
 
@@ -29,7 +27,7 @@ print(f"estimated width {est.mean:.4f} +- {est.std_error:.4f}")
 print(f"exact expected norm of a 10-dim Gaussian: {unit_ball_width(10):.4f}")
 
 print("\n== sparsity shrinks the set ==")
-header = f"{'s':>3} {'gamma':>6} {'mc':>8} {'dual':>8} {'theory':>8} {'crude':>8}"
+header = f"{'s':>3} {'gamma':>6} {'mc':>8} {'theory':>8} {'crude':>8}"
 print(header)
 D = make_dictionary("gaussian_unit_norm", 16, 32, rng.substream("dict"))
 crude = crude_width_bound(D, 32)
@@ -37,10 +35,9 @@ for s in (1, 2, 3):
     for gamma in (0.5, 1.0):
         cone = ConeParams(gamma, s, 32)
         mc = width_DS_gamma_mc(D, cone, SAMPLES, rng.substream("mc", s, gamma))
-        dual = width_DS_gamma_dual(D, cone, SAMPLES, rng.substream("mc", s, gamma))
         theory = theory_width_bound(cone, D.rho)
-        print(f"{s:>3} {gamma:>6.2f} {mc.mean:>8.3f} {dual.mean:>8.3f} {theory:>8.3f} {crude:>8.3f}")
+        print(f"{s:>3} {gamma:>6.2f} {mc.mean:>8.3f} {theory:>8.3f} {crude:>8.3f}")
 
-print("\nthe Monte Carlo mean never exceeds the dual mean (same draws), and")
-print("both sit far below the closed-form bounds; the crude sqrt(n) bound")
-print("shows why the sparsity-aware estimate matters for measurement counts.")
+print("\nthe Monte Carlo mean sits far below the closed-form bounds; the crude")
+print("sqrt(n) bound shows why the sparsity-aware estimate matters for")
+print("measurement counts.")

@@ -37,7 +37,6 @@ from .nsp import (
     recovery_error_bound,
 )
 from .numerics import (
-    gamma_fn,
     kernel_basis,
     nonincreasing_rearrangement,
     operator_norm,
@@ -88,7 +87,6 @@ from .width import (
     project_onto_cone,
     theory_width_bound,
     unit_ball_width,
-    width_DS_gamma_dual,
     width_DS_gamma_mc,
 )
 

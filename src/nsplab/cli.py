@@ -11,12 +11,7 @@ import json
 import sys
 
 from .errors import NsplabError
-from .harness import (
-    ExperimentConfig,
-    run_phase_transition,
-    run_preserve_nsp,
-    run_width_compare,
-)
+from .harness import ExperimentConfig, _fmt, run_experiment
 from .nsp import certificate_to_json, certify_nsp
 from .numerics import read_matrix_text, read_vector_text
 from .smallball import BoundInputs, bounds_table
@@ -28,14 +23,6 @@ from .solver import (
     solve_l1_synthesis,
 )
 from .dictionary import make_dictionary
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
 
 
 def _cmd_nsp_check(args) -> int:
@@ -87,31 +74,14 @@ def _cmd_recover(args) -> int:
     return 0
 
 
-def _load_config(args, expected: str) -> ExperimentConfig:
+def _cmd_experiment(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
+    expected = args.experiment
     if cfg.experiment != expected:
         raise NsplabError(f"config is for {cfg.experiment!r}, this command runs {expected!r}")
     if args.seed is not None:
         cfg = ExperimentConfig(**{**cfg.__dict__, "seed": args.seed})
-    return cfg
-
-
-def _cmd_width(args) -> int:
-    text = run_width_compare(_load_config(args, "width_compare"))
-    if not args.quiet:
-        sys.stdout.write(text)
-    return 0
-
-
-def _cmd_phase(args) -> int:
-    text = run_phase_transition(_load_config(args, "phase_transition"))
-    if not args.quiet:
-        sys.stdout.write(text)
-    return 0
-
-
-def _cmd_preserve(args) -> int:
-    text = run_preserve_nsp(_load_config(args, "preserve_nsp"))
+    text = run_experiment(cfg)
     if not args.quiet:
         sys.stdout.write(text)
     return 0
@@ -151,12 +121,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("admm", "lp"), default="admm")
     p.set_defaults(fn=_cmd_recover)
 
-    for name, fn in (("width", _cmd_width), ("phase", _cmd_phase), ("preserve", _cmd_preserve)):
+    for name, experiment in (
+        ("width", "width_compare"),
+        ("phase", "phase_transition"),
+        ("preserve", "preserve_nsp"),
+    ):
         p = sub.add_parser(name, help=f"run the {name} experiment from a JSON config")
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--quiet", action="store_true", help="suppress CSV echo to stdout")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_experiment, experiment=experiment)
 
     return top
 

@@ -3,7 +3,7 @@
 Experiments:
   preserve_nsp     NSP frequency of Phi @ D across an m grid
   phase_transition recovery success rate versus m for planted sparse signals
-  width_compare    Monte Carlo, dual, and closed-form width bounds on a grid
+  width_compare    Monte Carlo width and closed-form width bounds on a grid
   bounds_table     the five measurement-count formulas for derived inputs
 
 Every (experiment, m, trial) tuple gets its own RngStream keyed by a stable
@@ -34,7 +34,7 @@ from .rng import RngStream, stable_stream_id
 from .smallball import BoundInputs, bounds_table
 from .solver import RecoveryProblem, solve_l1_synthesis
 from .subgaussian import condition_number, make_spec, sample_measurement_matrix
-from .width import ConeParams, crude_width_bound, width_DS_gamma_dual, width_DS_gamma_mc
+from .width import ConeParams, crude_width_bound, width_DS_gamma_mc
 
 EXPERIMENTS = ("preserve_nsp", "phase_transition", "width_compare", "bounds_table")
 
@@ -86,6 +86,8 @@ class ExperimentConfig:
 
 
 def _fmt(v) -> str:
+    if v is None:
+        return ""
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)
@@ -203,10 +205,11 @@ def run_phase_transition(cfg: ExperimentConfig) -> str:
 
 
 def run_width_compare(cfg: ExperimentConfig) -> str:
-    """Monte Carlo vs dual vs closed-form width bounds over an (n, s, gamma) grid.
+    """Monte Carlo width vs closed-form bounds over an (n, s, gamma) grid.
 
-    cfg.trials is the Monte Carlo sample count per row; the two estimators
-    share their Gaussian draws so the per-sample dominance carries to means.
+    cfg.trials is the Monte Carlo sample count per row.  The dual_* columns
+    repeat mc_*: the dual minimum over the polar cone is the same number as
+    the exact cone projection norm (Moreau decomposition), draw by draw.
     """
     n_grid = cfg.n_grid or (cfg.n,)
     s_grid = cfg.s_grid or (cfg.s,)
@@ -222,9 +225,6 @@ def run_width_compare(cfg: ExperimentConfig) -> str:
             mc = width_DS_gamma_mc(
                 D, cone, samples, RngStream(cfg.seed, stable_stream_id("width_compare", n, s, gamma))
             )
-            dual = width_DS_gamma_dual(
-                D, cone, samples, RngStream(cfg.seed, stable_stream_id("width_compare", n, s, gamma))
-            )
             rows.append(
                 [
                     n,
@@ -233,8 +233,8 @@ def run_width_compare(cfg: ExperimentConfig) -> str:
                     D.rho,
                     mc.mean,
                     mc.std_error,
-                    dual.mean,
-                    dual.std_error,
+                    mc.mean,
+                    mc.std_error,
                     mc.theory_bound,
                     crude,
                 ]

@@ -6,17 +6,13 @@ explicit arguments with documented defaults; nothing reads global state.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError
-from .rng import RngStream
 
 RANK_TOL = 1e-10        # relative singular-value cutoff for rank decisions
-POWER_TOL = 1e-12       # relative convergence tolerance for power iteration
-POWER_MAX_ITER = 100_000
 
 
 def as_matrix(a) -> np.ndarray:
@@ -61,37 +57,12 @@ def soft_threshold(u, t: float):
     return float(out) if out.ndim == 0 else out
 
 
-def operator_norm(a, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER) -> float:
-    """Largest singular value via power iteration on A^T A.
-
-    Deterministic: the start vector comes from RngStream(0, 0) and is redrawn
-    if it happens to be annihilated by A^T A.
-    """
-    if not (tol > 0.0):
-        raise DomainError("tol must be positive")
+def operator_norm(a) -> float:
+    """Largest singular value of A (0 for an empty or zero matrix)."""
     A = as_matrix(a)
     if A.size == 0 or not np.any(A):
         return 0.0
-    n = A.shape[1]
-    start = RngStream(0, 0)
-    v = start.normal(n)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = A @ v
-        sigma_new = float(np.linalg.norm(w))
-        u = A.T @ w
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0:
-            # start vector was orthogonal to the row space; perturb and retry
-            v = start.normal(n)
-            v /= np.linalg.norm(v)
-            continue
-        v = u / nu
-        if abs(sigma_new - sigma) <= tol * max(sigma_new, 1e-300):
-            return sigma_new
-        sigma = sigma_new
-    return sigma
+    return float(np.linalg.norm(A, 2))
 
 
 def kernel_basis(a, tol: float = RANK_TOL) -> np.ndarray:
@@ -110,13 +81,6 @@ def kernel_basis(a, tol: float = RANK_TOL) -> np.ndarray:
     else:
         rank = int(np.sum(svals > tol * svals[0]))
     return np.ascontiguousarray(vt[rank:].T)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function on the positive axis (Lanczos-backed, < 1e-10 relative error)."""
-    if not (x > 0.0) or not math.isfinite(x):
-        raise DomainError(f"gamma_fn requires x > 0, got {x}")
-    return math.gamma(x)
 
 
 def write_matrix_text(path, a) -> None:

@@ -7,9 +7,12 @@ to a maximization over the convex cone
     K = {u >= 0, sum_{l<=s} u_l >= gamma sum_{l>s} u_l}
 
 intersected with the unit sphere, which equals the norm of the Euclidean
-projection onto K of the rearranged vector.  A one-dimensional dual
-surrogate gives a per-draw upper bound, and closed-form bounds cover the
-same quantity deterministically.
+projection onto K of the rearranged vector.  That projection is exact:
+max(h* + lam* a, 0), with the multiplier lam* in closed form from sorted
+prefix sums (see _cone_multiplier).  By Moreau decomposition the same number
+is the distance from h* to the polar cone, the one-dimensional "dual"
+minimum, so one route serves both.  Closed-form bounds cover the quantity
+deterministically.
 """
 
 from __future__ import annotations
@@ -30,11 +33,7 @@ from .numerics import (
 )
 from .rng import RngStream
 
-DYKSTRA_TOL = 1e-10
-DYKSTRA_MAX_SWEEPS = 100_000
-_GOLDEN_TOL = 1e-8
 _MC_BLOCK = 20_000
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ class WidthEstimate:
     mean: float
     std_error: float
     samples: int
-    estimator: str           # cone_projection_exact | dual_upper_bound | empirical_width
+    estimator: str           # cone_projection_exact | empirical_width
     theory_bound: float | None = None
 
     def to_json(self) -> dict:
@@ -82,125 +81,96 @@ def unit_ball_width(n: int) -> float:
     return math.sqrt(2.0) * math.exp(math.lgamma((n + 1) / 2.0) - math.lgamma(n / 2.0))
 
 
-def project_cone_batch(
-    H, c: ConeParams, tol: float = DYKSTRA_TOL, max_sweeps: int = DYKSTRA_MAX_SWEEPS
-) -> np.ndarray:
-    """Row-wise Euclidean projection onto K via Dykstra's alternating scheme.
+def _cone_multiplier(H: np.ndarray, c: ConeParams) -> np.ndarray:
+    """Per-row KKT multiplier lam* >= 0 with P_K h = max(h + lam* a, 0).
 
-    Alternates between the nonnegative orthant and the halfspace
-    {a @ u >= 0}; terminates when successive iterates move less than tol.
+    Projecting h onto K = {u >= 0, a.u >= 0}, a = (1,...,1, -gamma,...,-gamma)
+    with s ones, is min ||u - h||^2 / 2 over K.  A multiplier lam >= 0 on
+    a.u >= 0 leaves the orthant projection u(lam) = max(h + lam a, 0); KKT asks
+    a.u(lam) >= 0 with equality when lam > 0.  Put
+
+        phi(lam) = a.max(h + lam a, 0)
+                 = sum_head max(h_i + lam, 0) - gamma sum_tail max(h_j - gamma lam, 0).
+
+    Each term is nondecreasing in lam, so lam* is 0 when phi(0) >= 0 and the
+    first root of phi otherwise: lam* = max(0, inf{lam : phi(lam) >= 0}).
+
+    K is invariant under permutations inside the head and inside the tail, so
+    only the sorted entries matter.  A sum of positive parts is the best
+    partial sum of the largest entries: with H_q the sum of the q largest head
+    entries (q = 0..s) and T_r that of the r largest entries of max(tail, 0)
+    (r = 0..n-s; for lam >= 0 a negative tail entry never enters),
+
+        phi(lam) = max_q (H_q + q lam) - gamma max_r (T_r - r gamma lam)
+                 = max_q min_r [H_q - gamma T_r + (q + r gamma^2) lam].
+
+    So phi(lam) >= 0 iff some q has every r satisfied.  The pair (0, 0) reads
+    0 >= 0; every other pair asks lam >= (gamma T_r - H_q) / (q + r gamma^2).
+    Hence
+
+        lam* = max(0, min_q max_{(q,r) != (0,0)} (gamma T_r - H_q) / (q + r gamma^2)),
+
+    and lam* = 0 when s = n (no tail: every u >= 0 lies in K).  The loop runs
+    over q, one (rows, n-s+1) array per pass, which keeps memory linear in n.
     """
+    s, n, gamma = c.s, c.n, c.gamma
+    if s == n:
+        return np.zeros(H.shape[0])
+    zero = np.zeros((H.shape[0], 1))
+
+    def prefix_sums(X):  # 0, then the running sums of each row's largest entries
+        return np.hstack([zero, np.sort(X, axis=1)[:, ::-1].cumsum(axis=1)])
+
+    Hq = prefix_sums(H[:, :s])
+    gT = gamma * prefix_sums(np.maximum(H[:, s:], 0.0))
+    r = np.arange(n - s + 1)
+    lam = (gT[:, 1:] / (r[1:] * gamma**2)).max(axis=1)  # q = 0; (0, 0) asks nothing
+    for q in range(1, s + 1):
+        lam = np.minimum(lam, ((gT - Hq[:, q, None]) / (q + r * gamma**2)).max(axis=1))
+    return np.maximum(lam, 0.0)
+
+
+def project_cone_batch(H, c: ConeParams) -> np.ndarray:
+    """Row-wise Euclidean projection onto K: max(h + lam* a, 0), exact."""
     H = np.atleast_2d(np.asarray(H, dtype=float))
-    a = c.halfspace_normal()
-    asq = float(a @ a)
-    X = H.copy()
-    P = np.zeros_like(X)
-    Q = np.zeros_like(X)
-    for _ in range(max_sweeps):
-        X_prev = X
-        Y = np.maximum(X + P, 0.0)
-        P = X + P - Y
-        V = Y + Q
-        dot = V @ a
-        viol = dot < 0.0
-        X = V.copy()
-        if np.any(viol):
-            X[viol] -= (dot[viol] / asq)[:, None] * a
-        Q = V - X
-        if np.max(np.abs(X - X_prev)) < tol:
-            break
-    return X
+    return np.maximum(H + _cone_multiplier(H, c)[:, None] * c.halfspace_normal(), 0.0)
 
 
-def project_onto_cone(h, c: ConeParams, tol: float = DYKSTRA_TOL) -> np.ndarray:
+def project_onto_cone(h, c: ConeParams) -> np.ndarray:
     """Euclidean projection of a single vector onto K_{gamma,s}."""
     v = as_vector(h)
     if v.size != c.n:
         raise DomainError(f"vector has length {v.size}, cone lives in R^{c.n}")
-    return project_cone_batch(v[None, :], c, tol=tol)[0]
+    return project_cone_batch(v[None, :], c)[0]
 
 
-def cone_projection_values(Hstar, c: ConeParams, tol: float = DYKSTRA_TOL) -> np.ndarray:
+def cone_projection_values(Hstar, c: ConeParams) -> np.ndarray:
     """Per-row sup over K cap sphere of <h*, u>: the projection norm."""
-    return np.linalg.norm(project_cone_batch(Hstar, c, tol=tol), axis=1)
+    return np.linalg.norm(project_cone_batch(Hstar, c), axis=1)
 
 
-def dual_surrogate_values(Hstar, c: ConeParams, tol: float = _GOLDEN_TOL) -> np.ndarray:
-    """Per-row upper bound on the cone supremum.
-
-    min over t >= 0 of sqrt(sum_{head}(h + t)^2 + sum_{tail} S_{gamma t}(h)^2),
-    found by golden-section search on [0, max(h)/gamma + 1]; the objective is
-    convex in t, so the bracket suffices.
-    """
-    H = np.atleast_2d(np.asarray(Hstar, dtype=float))
-    s, gamma = c.s, c.gamma
-    head = H[:, :s]
-    tail = H[:, s:]
-
-    def objective(t):
-        hv = ((head + t[:, None]) ** 2).sum(axis=1)
-        if tail.shape[1] == 0:
-            return hv
-        shrunk = np.maximum(tail - gamma * t[:, None], 0.0)
-        return hv + (shrunk**2).sum(axis=1)
-
-    lo = np.zeros(H.shape[0])
-    hi = H.max(axis=1) / gamma + 1.0
-    iters = int(math.ceil(math.log(max(hi.max(), 1.0) / tol) / math.log(1.0 / _INVPHI))) + 1
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1 = objective(x1)
-    f2 = objective(x2)
-    for _ in range(iters):
-        take_low = f1 < f2
-        hi = np.where(take_low, x2, hi)
-        lo = np.where(take_low, lo, x1)
-        x1 = hi - _INVPHI * (hi - lo)
-        x2 = lo + _INVPHI * (hi - lo)
-        f1 = objective(x1)
-        f2 = objective(x2)
-        if np.max(hi - lo) < tol:
-            break
-    return np.sqrt(objective(0.5 * (lo + hi)))
-
-
-def _mc_estimate(D, c: ConeParams, samples: int, rng: RngStream, per_draw) -> tuple:
-    M = D.matrix if isinstance(D, Dictionary) else as_matrix(D)
-    d = M.shape[0]
-    vals = []
-    done = 0
-    while done < samples:
-        block = min(_MC_BLOCK, samples - done)
-        G = rng.normal((block, d))
-        Hstar = nonincreasing_rearrangement(G @ M)
-        vals.append(per_draw(Hstar, c))
-        done += block
-    v = np.concatenate(vals)
-    mean = float(v.mean())
-    se = float(v.std(ddof=1) / math.sqrt(v.size)) if v.size > 1 else 0.0
-    return mean, se
-
-
-def _theory_bound_or_zero(c: ConeParams, rho: float) -> float:
-    return theory_width_bound(c, rho) if rho > 0.0 else 0.0
+# Same number by Moreau decomposition (||P_K h|| = dist(h, polar K)); the name
+# stays because bench/tracer.py looks it up in this module when it installs.
+dual_surrogate_values = cone_projection_values
 
 
 def width_DS_gamma_mc(D, c: ConeParams, samples: int, rng: RngStream) -> WidthEstimate:
     """Monte Carlo estimate of w(D S_gamma) via exact per-draw cone projection."""
     if samples < 100:
         raise DomainError("need at least 100 samples")
-    rho = D.rho if isinstance(D, Dictionary) else float(np.max(np.sum(as_matrix(D) ** 2, axis=0)))
-    mean, se = _mc_estimate(D, c, samples, rng, cone_projection_values)
-    return WidthEstimate(mean, se, samples, "cone_projection_exact", _theory_bound_or_zero(c, rho))
-
-
-def width_DS_gamma_dual(D, c: ConeParams, samples: int, rng: RngStream) -> WidthEstimate:
-    """Monte Carlo upper bound on w(D S_gamma) via the dual surrogate."""
-    if samples < 100:
-        raise DomainError("need at least 100 samples")
-    rho = D.rho if isinstance(D, Dictionary) else float(np.max(np.sum(as_matrix(D) ** 2, axis=0)))
-    mean, se = _mc_estimate(D, c, samples, rng, dual_surrogate_values)
-    return WidthEstimate(mean, se, samples, "dual_upper_bound", _theory_bound_or_zero(c, rho))
+    M = D.matrix if isinstance(D, Dictionary) else as_matrix(D)
+    rho = D.rho if isinstance(D, Dictionary) else float(np.max(np.sum(M**2, axis=0)))
+    vals = []
+    done = 0
+    while done < samples:
+        block = min(_MC_BLOCK, samples - done)
+        Hstar = nonincreasing_rearrangement(rng.normal((block, M.shape[0])) @ M)
+        vals.append(cone_projection_values(Hstar, c))
+        done += block
+    v = np.concatenate(vals)
+    se = float(v.std(ddof=1) / math.sqrt(v.size))
+    theory = theory_width_bound(c, rho) if rho > 0.0 else 0.0
+    return WidthEstimate(float(v.mean()), se, samples, "cone_projection_exact", theory)
 
 
 def theory_width_bound(c: ConeParams, rho: float) -> float:

@@ -32,14 +32,13 @@ from nsplab.width import (
     check_slepian_contraction,
     check_soft_moment,
     cone_projection_values,
-    dual_surrogate_values,
     unit_ball_width,
     width_DS_gamma_mc,
 )
 
 from test_nsp import gamma_star_sampling_oracle
 from test_smallball import mp_m_min, mp_rate
-from test_width import soft_moment_quadrature
+from test_width import dykstra_projection, soft_moment_quadrature
 
 mpmath.mp.dps = 50
 
@@ -140,14 +139,14 @@ def test_criterion_3_width_machinery():
             expect = unit_ball_width(n)
             assert abs(est.mean - expect) <= 0.02 * expect
 
-        # (b) per-sample duality on 100k draws
+        # (b) exact projection equals the Dykstra oracle on 100k draws
         rng = RngStream(301)
         D = make_dictionary("gaussian_unit_norm", 5, 10, rng.substream("dict"))
         c = ConeParams(0.5, 2, 10)
         H = nonincreasing_rearrangement(rng.substream("g").normal((100_000, 5)) @ D.matrix)
         cone_vals = cone_projection_values(H, c)
-        dual_vals = dual_surrogate_values(H, c)
-        assert int((cone_vals > dual_vals + 1e-8).sum()) == 0
+        oracle_vals = np.linalg.norm(dykstra_projection(H, c), axis=1)
+        assert int((np.abs(cone_vals - oracle_vals) > 1e-9).sum()) == 0
 
         # (c) Monte Carlo mean below the closed-form bound across the grid
         for n in (8, 16, 32):

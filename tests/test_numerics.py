@@ -5,7 +5,6 @@ import pytest
 
 from nsplab.errors import DomainError
 from nsplab.numerics import (
-    gamma_fn,
     kernel_basis,
     nonincreasing_rearrangement,
     operator_norm,
@@ -103,23 +102,6 @@ class TestKernelBasis:
             assert np.allclose(N.T @ N, np.eye(k), atol=1e-10)
             if k:
                 assert np.linalg.norm(A @ N) <= 1e-10 * max(np.linalg.norm(A), 1.0)
-
-
-class TestGammaFn:
-    def test_known_values(self):
-        assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-12)
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-        assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-12)
-
-    def test_recurrence_on_grid(self):
-        # Gamma(x+1) = x Gamma(x): an identity-based accuracy check
-        for x in np.linspace(0.1, 99.0, 197):
-            assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(float(x)), rel=1e-10)
-
-    def test_rejects_nonpositive(self):
-        for bad in (0.0, -1.0):
-            with pytest.raises(DomainError):
-                gamma_fn(bad)
 
 
 class TestMatrixText:

@@ -5,6 +5,7 @@ import pytest
 
 from nsplab.dictionary import make_dictionary
 from nsplab.errors import DomainError
+from nsplab.numerics import nonincreasing_rearrangement
 from nsplab.rng import RngStream
 from nsplab.width import (
     ConeParams,
@@ -13,11 +14,9 @@ from nsplab.width import (
     check_soft_moment,
     cone_projection_values,
     crude_width_bound,
-    dual_surrogate_values,
     project_onto_cone,
     theory_width_bound,
     unit_ball_width,
-    width_DS_gamma_dual,
     width_DS_gamma_mc,
 )
 
@@ -34,6 +33,28 @@ def max_abs_normal_quadrature(n, grid=900_001, upper=9.0):
     t = np.linspace(0.0, upper, grid)
     Phi = 0.5 * (1.0 + np.vectorize(math.erf)(t / math.sqrt(2.0)))
     return float(np.trapezoid(1.0 - (2.0 * Phi - 1.0) ** n, t))
+
+
+def dykstra_projection(H, c, tol=1e-13, max_sweeps=1_000_000):
+    """Independent oracle: row-wise projection onto K by Dykstra's scheme.
+
+    Alternates between the nonnegative orthant and the halfspace {a @ u >= 0}
+    until successive iterates move less than tol.
+    """
+    a = c.halfspace_normal()
+    X = np.atleast_2d(np.asarray(H, dtype=float)).copy()
+    P = np.zeros_like(X)
+    Q = np.zeros_like(X)
+    for _ in range(max_sweeps):
+        X_prev = X
+        Y = np.maximum(X + P, 0.0)
+        P = X + P - Y
+        V = Y + Q
+        X = V - np.minimum(V @ a, 0.0)[:, None] / (a @ a) * a
+        Q = V - X
+        if np.max(np.abs(X - X_prev)) < tol:
+            return X
+    raise AssertionError("Dykstra oracle did not converge")
 
 
 def sample_cone_sphere(c, count, rng):
@@ -80,13 +101,27 @@ class TestProjection:
 
     def test_kkt_and_distance_dominance(self):
         rng = RngStream(43)
+        cases = []
         for trial in range(12):
             sub = rng.substream(trial)
             n = int(sub.integers(2, 8))
             s = int(sub.integers(1, n + 1))
             c = ConeParams(float(sub.uniform() * 0.9 + 0.1), s, n)
-            h = sub.normal(n) * 2.0
-            u = project_onto_cone(h, c, tol=1e-12)
+            cases.append((c, sub.normal(n) * 2.0, sub))
+        degenerate = [
+            (ConeParams(0.6, 2, 6), [1.0, -0.5, 2.0, 2.0, 1.0, 2.0]),  # ties
+            (ConeParams(0.6, 2, 6), [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),  # all tied
+            (ConeParams(0.4, 5, 5), [-1.0, 2.0, 0.5, -3.0, 0.0]),  # s = n
+            (ConeParams(1.0, 2, 5), [0.3, -1.0, 2.0, 1.5, -0.2]),  # gamma = 1
+            (ConeParams(1.0, 1, 1), [-0.7]),  # n = 1
+            (ConeParams(0.5, 1, 4), [3.0, 1.0, 0.5, 0.2]),  # h in K: lambda* = 0
+            (ConeParams(0.7, 2, 5), [-1.0, -0.2, -3.0, -0.1, -2.0]),  # all negative
+        ]
+        for i, (c, h) in enumerate(degenerate):
+            cases.append((c, np.array(h), rng.substream("degenerate", i)))
+        for c, h, sub in cases:
+            u = project_onto_cone(h, c)
+            assert np.allclose(u, dykstra_projection(h, c)[0], rtol=0.0, atol=1e-9)
             a = c.halfspace_normal()
             assert np.all(u >= -1e-9)
             assert a @ u >= -1e-9
@@ -107,7 +142,7 @@ class TestProjection:
             s = int(sub.integers(1, n + 1))
             c = ConeParams(float(sub.uniform() * 0.9 + 0.1), s, n)
             hstar = np.sort(np.abs(sub.normal(n)))[::-1]
-            proj_norm = float(np.linalg.norm(project_onto_cone(hstar, c, tol=1e-12)))
+            proj_norm = float(np.linalg.norm(project_onto_cone(hstar, c)))
             U = sample_cone_sphere(c, 1_000_000, sub.substream("pts"))
             sampled = float((U @ hstar).max())
             assert sampled <= proj_norm + 1e-9
@@ -142,13 +177,16 @@ class TestWidthEstimators:
 
     def test_dual_zero_vector(self):
         c = ConeParams(0.5, 1, 4)
-        assert dual_surrogate_values(np.zeros((1, 4)), c)[0] == pytest.approx(0.0, abs=1e-7)
+        got = cone_projection_values(np.zeros((1, 4)), c)[0]
+        assert got == 0.0
+        assert np.linalg.norm(dykstra_projection(np.zeros((1, 4)), c)) <= 1e-9
 
     def test_dual_no_tail_reduces_to_norm(self):
         c = ConeParams(1.0, 4, 4)
         hstar = np.sort(np.abs(RngStream(48).normal(4)))[::-1]
-        got = dual_surrogate_values(hstar[None, :], c)[0]
-        assert got == pytest.approx(float(np.linalg.norm(hstar)), abs=1e-7)
+        got = cone_projection_values(hstar[None, :], c)[0]
+        assert abs(got - np.linalg.norm(dykstra_projection(hstar, c))) <= 1e-9
+        assert got == pytest.approx(float(np.linalg.norm(hstar)), abs=1e-9)
 
     def test_per_sample_duality_on_shared_draws(self):
         rng = RngStream(49)
@@ -157,15 +195,17 @@ class TestWidthEstimators:
         G = rng.substream("g").normal((5000, 5))
         Hstar = np.sort(np.abs(G @ D.matrix), axis=1)[:, ::-1]
         cone_vals = cone_projection_values(Hstar, c)
-        dual_vals = dual_surrogate_values(Hstar, c)
-        assert np.all(cone_vals <= dual_vals + 1e-8)
+        oracle_vals = np.linalg.norm(dykstra_projection(Hstar, c), axis=1)
+        assert np.max(np.abs(cone_vals - oracle_vals)) <= 1e-9
 
     def test_dual_mean_dominates_mc_mean_shared_randomness(self):
+        # width_DS_gamma_mc draws its 2000 rows in one block from the stream
         D = make_dictionary("gaussian_unit_norm", 5, 10, RngStream(50))
         c = ConeParams(0.5, 2, 10)
         mc = width_DS_gamma_mc(D, c, 2000, RngStream(51))
-        dual = width_DS_gamma_dual(D, c, 2000, RngStream(51))
-        assert mc.mean <= dual.mean + 1e-9
+        Hstar = nonincreasing_rearrangement(RngStream(51).normal((2000, 5)) @ D.matrix)
+        oracle_mean = float(np.linalg.norm(dykstra_projection(Hstar, c), axis=1).mean())
+        assert abs(mc.mean - oracle_mean) <= 1e-9
 
     def test_monotone_in_s_and_gamma_at_fixed_randomness(self):
         D = make_dictionary("gaussian_unit_norm", 6, 12, RngStream(52))
