@@ -3,9 +3,9 @@
 A matrix has the NSP of order s when every nonzero kernel vector carries
 less l1 mass on any s coordinates than on the rest.  The worst head/tail
 mass ratio is attained at a circuit, a kernel vector of minimal support, so
-the certifier enumerates the circuits and reports gamma_star, the largest
-ratio: below 1 the property holds, and the witness shows where it is
-tightest.
+the certifier enumerates the circuits, each read off a small QR
+factorization, and reports gamma_star, the largest ratio: below 1 the
+property holds, and the witness shows where it is tightest.
 """
 
 import numpy as np
@@ -15,6 +15,7 @@ from nsplab import (
     certify_nsp,
     d_nsp_check,
     estimate_eta,
+    full_spark_check,
     make_dictionary,
     SgammaParams,
 )
@@ -37,7 +38,7 @@ D = make_dictionary("gaussian_unit_norm", d=10, n=14, rng=rng.substream("dict"))
 cert = certify_nsp(D.matrix, s=1)
 print(f"10 x 14 unit-norm dictionary: gamma_star = {cert.gamma_star:.4f} ({cert.verdict})")
 print(f"route {cert.method!r}, {cert.evaluated} circuit candidates evaluated")
-print(f"rho = {D.rho:.3f}, operator norm = {D.op_norm:.3f}, full spark = {D.full_spark}")
+print(f"rho = {D.rho:.3f}, operator norm = {D.op_norm:.3f}, full spark = {full_spark_check(D)}")
 
 print("\n== the equivalent lower-bound form ==")
 # holding the NSP is the same as ||D x||_2 staying away from zero on the

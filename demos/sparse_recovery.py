@@ -10,13 +10,14 @@ on noisy instances.
 import numpy as np
 
 from nsplab import (
+    RecoveryBoundInputs,
     RecoveryProblem,
     RngStream,
     SgammaParams,
     certify_nsp,
     estimate_eta,
+    evaluate_recovery,
     make_dictionary,
-    recovery_error_bound,
     solve_bp_lp,
     solve_l1_synthesis,
 )
@@ -48,9 +49,11 @@ eta = estimate_eta(B, SgammaParams(gamma, 1), restarts=20, rng=rng.substream("et
 eps = 0.05
 y_noisy = y + eps * rng.substream("noise").unit_vector(9)
 res = solve_l1_synthesis(RecoveryProblem(B, y_noisy, eps))
-err = float(np.linalg.norm(res.x_hat - x0))
-bound = recovery_error_bound(gamma, eta.eta_upper, 0.0, eps)
-print(f"eps = {eps}: coefficient error {err:.4f} <= bound {bound:.4f}")
+report = evaluate_recovery(
+    x0, res, D, RecoveryBoundInputs(gamma, eta.eta_upper, eps, C=1.0, sigma=1.0, s=1)
+)
+print(f"eps = {eps}: coefficient error {report.err_x:.4f} "
+      f"<= bound {report.coefficient_bound:.4f}")
 print(f"residual {res.residual_norm:.6f} <= eps + tolerance")
 
 print("\n== recovery must fail without the NSP ==")

@@ -34,7 +34,6 @@ from .nsp import (
     estimate_eta,
     eta_grid_oracle,
     in_S_gamma,
-    recovery_error_bound,
 )
 from .numerics import (
     kernel_basis,

@@ -15,14 +15,7 @@ from .harness import ExperimentConfig, _fmt, run_experiment
 from .nsp import certificate_to_json, certify_nsp
 from .numerics import read_matrix_text, read_vector_text
 from .smallball import BoundInputs, bounds_table
-from .solver import (
-    RecoveryProblem,
-    attach_signal,
-    recovery_result_to_json,
-    solve_bp_lp,
-    solve_l1_synthesis,
-)
-from .dictionary import make_dictionary
+from .solver import RecoveryProblem, recovery_result_to_json, solve_bp_lp, solve_l1_synthesis
 
 
 def _cmd_nsp_check(args) -> int:
@@ -61,12 +54,11 @@ def _cmd_recover(args) -> int:
         result = solve_bp_lp(B, y)
     else:
         result = solve_l1_synthesis(RecoveryProblem(B, y, args.eps))
-    payload = {}
-    if args.D:
-        Dm = read_matrix_text(args.D)
-        D = make_dictionary("user_matrix", Dm.shape[0], Dm.shape[1], matrix=Dm)
-        result = attach_signal(result, D)
-    payload.update(recovery_result_to_json(result))
+    payload = recovery_result_to_json(result)
+    z_hat = None
+    if args.D and result.x_hat is not None:
+        z_hat = (read_matrix_text(args.D) @ result.x_hat).tolist()
+    payload["z_hat"] = z_hat
     if args.x0 and result.x_hat is not None:
         x0 = read_vector_text(args.x0)
         payload["err_x"] = float(sum((a - b) ** 2 for a, b in zip(result.x_hat, x0)) ** 0.5)

@@ -1,15 +1,15 @@
 """Dictionary construction and analysis.
 
 A dictionary is a d x n matrix of column atoms with cached column-norm bound
-rho = max_i ||d_i||_2^2 and operator norm, plus a full-spark verdict computed
-on demand (every d columns linearly independent).
+rho = max_i ||d_i||_2^2 and operator norm.  full_spark_check decides whether
+every d columns are linearly independent.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class Dictionary:
     matrix: np.ndarray
     rho: float
     op_norm: float
-    _full_spark: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -37,12 +36,6 @@ class Dictionary:
     @property
     def n(self) -> int:
         return self.matrix.shape[1]
-
-    @property
-    def full_spark(self) -> bool:
-        if not self._full_spark:
-            self._full_spark.append(full_spark_check(self))
-        return self._full_spark[0]
 
 
 def make_dictionary(kind, d, n, rng: RngStream | None = None, matrix=None) -> Dictionary:

@@ -9,8 +9,7 @@ Experiments:
 Every (experiment, m, trial) tuple gets its own RngStream keyed by a stable
 hash, so trial results do not depend on execution order and identical
 configs reproduce byte-identical CSV (modulo the timestamp header line).
-The environment variable NSPLAB_THREADS caps worker threads (default:
-hardware concurrency).
+Campaigns run serially, task by task in (m, trial) order.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -93,21 +90,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _thread_count() -> int:
-    env = os.environ.get("NSPLAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def _map_tasks(fn, args_list):
-    workers = min(_thread_count(), max(len(args_list), 1))
-    if workers == 1:
-        return [fn(a) for a in args_list]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args_list))
-
-
 def _emit_csv(cfg: ExperimentConfig, header, rows) -> str:
     lines = [f"# generated {datetime.now(timezone.utc).isoformat()}"]
     lines.append(",".join(header))
@@ -154,8 +136,7 @@ def run_preserve_nsp(cfg: ExperimentConfig) -> str:
         return (m, trial, cert.verdict, cert.gamma_star)
 
     tasks = [(m, t) for m in cfg.m_grid for t in range(cfg.trials)]
-    rows = _map_tasks(one, tasks)
-    rows.sort(key=lambda r: (r[0], r[1]))
+    rows = [one(t) for t in tasks]
     out = [list(r) for r in rows]
     for m in cfg.m_grid:
         holds = sum(1 for r in rows if r[0] == m and r[2] == "holds")
@@ -195,8 +176,7 @@ def run_phase_transition(cfg: ExperimentConfig) -> str:
         return (m, trial, success, err_x, err_z, 0.0, res.status)
 
     tasks = [(m, t) for m in cfg.m_grid for t in range(cfg.trials)]
-    rows = _map_tasks(one, tasks)
-    rows.sort(key=lambda r: (r[0], r[1]))
+    rows = [one(t) for t in tasks]
     out = [list(r[:6]) for r in rows]
     for m in cfg.m_grid:
         rate = sum(r[2] for r in rows if r[0] == m) / cfg.trials

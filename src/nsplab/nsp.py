@@ -9,13 +9,13 @@ maximum over the polytope {x in ker A : ||x||_1 <= 1} sits at an extreme
 point, and the extreme points are the normalized circuits (kernel vectors of
 minimal support).  So gamma_star is the largest ratio over the circuits,
 with T the s largest entries, and certify_nsp enumerates them: each
-(k-1)-subset of coordinates, k = dim ker A, pins down at most one, C(n, k-1)
-candidates in all.  When that count exceeds the budget, the LP route runs
-instead if its C(n, s) 2^(s-1) support LPs fit: for each support and sign
-pattern, a small LP over the kernel parametrization maximizes the signed
-head mass subject to unit tail mass.  Past both budgets the certificate is
-refused; the problem is NP-hard in general (Tillmann & Pfetsch, IEEE T-IT
-2014).
+(k-1)-subset of coordinates, k = dim ker A, pins down at most one, read off
+the last column of a full QR factorization, C(n, k-1) candidates in all.
+When that count exceeds the budget, the LP route runs instead if its
+C(n, s) 2^(s-1) support LPs fit: for each support and sign pattern, a small
+LP over the kernel parametrization maximizes the signed head mass subject
+to unit tail mass.  Past both budgets the certificate is refused; the
+problem is NP-hard in general (Tillmann & Pfetsch, IEEE T-IT 2014).
 
 The violating set
 
@@ -42,7 +42,7 @@ from .rng import RngStream
 from .simplex import LpProblem, solve_lp
 
 CERT_BUDGET = 10**6    # circuit candidates or LPs, whichever route runs
-_CIRCUIT_CHUNK = 64    # (k-1)-subsets per batched SVD
+_CIRCUIT_CHUNK = 64    # (k-1)-subsets per batched QR
 
 
 @dataclass(frozen=True)
@@ -139,6 +139,11 @@ def _certify_circuits(N, s):
     on Z, and every circuit arises this way; otherwise it is some other
     kernel vector, which cannot exceed gamma_star.  Subsets are taken
     _CIRCUIT_CHUNK at a time, so memory stays flat in C(n, k-1).
+
+    c is the last column q_k of a full QR factorization N[Z]^T = Q R.  R is
+    k x (k-1) upper triangular, so its last row is zero, and
+    N[Z] q_k = R^T Q^T q_k = R^T e_k = 0: q_k is a unit null vector of N[Z]
+    whatever its rank.
     Returns (gamma_star, T, witness, candidates evaluated).
     """
     n, k = N.shape
@@ -148,8 +153,8 @@ def _certify_circuits(N, s):
         chunk = list(itertools.islice(subsets, _CIRCUIT_CHUNK))
         if not chunk:
             break
-        # The last right singular vector of each (k-1) x k block spans its null space.
-        X = np.linalg.svd(N[np.array(chunk, dtype=np.intp)])[2][:, -1, :] @ N.T
+        B = N[np.array(chunk, dtype=np.intp)]
+        X = np.linalg.qr(B.transpose(0, 2, 1), mode="complete")[0][:, :, -1] @ N.T
         a = np.sort(np.abs(X), axis=1)
         tail = a[:, : n - s].sum(axis=1)
         head = a[:, n - s :].sum(axis=1)
@@ -347,17 +352,6 @@ def eta_grid_oracle(D, p: SgammaParams, resolution: int = 2000) -> float:
     members = pts[head >= p.gamma * tail - 1e-12]
     vals = np.linalg.norm(members @ M.T, axis=1)
     return float(vals.min())
-
-
-def recovery_error_bound(gamma: float, eta: float, sigma_s_x: float, eps: float) -> float:
-    """Worst-case l1-recovery error (2 gamma + 2)/(1 - gamma) sigma_s + 2 eps / eta."""
-    if not (0.0 < gamma < 1.0):
-        raise DomainError(f"gamma must lie in (0, 1), got {gamma}")
-    if not (eta > 0.0):
-        raise DomainError(f"eta must be positive, got {eta}")
-    if sigma_s_x < 0.0 or eps < 0.0:
-        raise DomainError("sigma_s and eps must be nonnegative")
-    return (2.0 * gamma + 2.0) / (1.0 - gamma) * sigma_s_x + 2.0 * eps / eta
 
 
 def d_nsp_check(D: Dictionary, Phi, s: int, tol: float = 1e-9) -> DnspResult:

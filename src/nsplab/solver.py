@@ -24,7 +24,6 @@ class RecoveryProblem:
     B: np.ndarray                  # sensing composition, m x n
     y: np.ndarray                  # measurements
     eps: float = 0.0               # noise radius
-    D: Dictionary | None = None    # optional, for signal-space error reports
 
     def __post_init__(self):
         B = as_matrix(self.B)
@@ -40,7 +39,6 @@ class RecoveryProblem:
 @dataclass(frozen=True)
 class RecoveryResult:
     x_hat: np.ndarray | None
-    z_hat: np.ndarray | None
     objective: float | None
     residual_norm: float | None
     iterations: int
@@ -89,11 +87,10 @@ def solve_bp_lp(B, y, tol: float = 1e-9) -> RecoveryResult:
     problem = LpProblem.build(objective, constraints, yv, ["="] * m)
     res = solve_lp(problem, tol=tol)
     if res.status != "optimal":
-        return RecoveryResult(None, None, None, None, res.iterations, "infeasible")
+        return RecoveryResult(None, None, None, res.iterations, "infeasible")
     x = res.x[:n] - res.x[n:]
     return RecoveryResult(
         x_hat=x,
-        z_hat=None,
         objective=float(np.abs(x).sum()),
         residual_norm=float(np.linalg.norm(yv - Bm @ x)),
         iterations=res.iterations,
@@ -114,7 +111,7 @@ def solve_l1_synthesis(p: RecoveryProblem, params: SplitParams = SplitParams()) 
     x_ls, *_ = np.linalg.lstsq(B, y, rcond=None)
     dist = float(np.linalg.norm(y - B @ x_ls))
     if dist > eps + 1e-7 * max(1.0, float(np.linalg.norm(y))) + 1e-9:
-        return RecoveryResult(None, None, None, None, 0, "infeasible")
+        return RecoveryResult(None, None, None, 0, "infeasible")
 
     rho = params.step
     solve_ridge = np.linalg.inv(np.eye(n) + B.T @ B)  # small n: cache the inverse
@@ -153,7 +150,6 @@ def solve_l1_synthesis(p: RecoveryProblem, params: SplitParams = SplitParams()) 
         if pri < eps_pri and dual < eps_dual:
             return RecoveryResult(
                 x_hat=x,
-                z_hat=p.D.matrix @ x if p.D is not None else None,
                 objective=float(np.abs(x).sum()),
                 residual_norm=float(np.linalg.norm(y - bx)),
                 iterations=it,
@@ -171,25 +167,10 @@ def solve_l1_synthesis(p: RecoveryProblem, params: SplitParams = SplitParams()) 
                 u_r *= 2.0
     return RecoveryResult(
         x_hat=x,
-        z_hat=p.D.matrix @ x if p.D is not None else None,
         objective=float(np.abs(x).sum()),
         residual_norm=float(np.linalg.norm(y - B @ x)),
         iterations=params.max_iter,
         status="max_iter",
-    )
-
-
-def attach_signal(result: RecoveryResult, D: Dictionary) -> RecoveryResult:
-    """Fill z_hat = D x_hat on a successful result."""
-    if result.x_hat is None:
-        return result
-    return RecoveryResult(
-        x_hat=result.x_hat,
-        z_hat=D.matrix @ result.x_hat,
-        objective=result.objective,
-        residual_norm=result.residual_norm,
-        iterations=result.iterations,
-        status=result.status,
     )
 
 
@@ -256,5 +237,4 @@ def recovery_result_to_json(result: RecoveryResult) -> dict:
         "residual_norm": result.residual_norm,
         "iterations": result.iterations,
         "x_hat": None if result.x_hat is None else result.x_hat.tolist(),
-        "z_hat": None if result.z_hat is None else result.z_hat.tolist(),
     }

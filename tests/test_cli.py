@@ -95,6 +95,24 @@ def test_recover_roundtrip(tmp_path, capsys):
     assert payload["err_x"] < 1e-6
 
 
+def test_recover_signal_from_dictionary(tmp_path, capsys):
+    D = RngStream(90).normal((4, 6))
+    x0 = np.zeros(6)
+    x0[2] = 1.0
+    B = RngStream(91).normal((4, 4)) @ D
+    write_matrix_text(tmp_path / "B.txt", B)
+    write_matrix_text(tmp_path / "D.txt", D)
+    write_vector_text(tmp_path / "y.txt", B @ x0)
+    args = ("recover", "--B", str(tmp_path / "B.txt"), "--y", str(tmp_path / "y.txt"))
+    code, out, _ = run_cli(capsys, *args, "--D", str(tmp_path / "D.txt"))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "converged"
+    assert np.allclose(payload["z_hat"], D @ np.array(payload["x_hat"]))
+    code, out, _ = run_cli(capsys, *args)
+    assert json.loads(out)["z_hat"] is None
+
+
 def test_recover_lp_method(tmp_path, capsys):
     write_matrix_text(tmp_path / "B.txt", np.array([[1.0, 0, 1], [0, 1, 1]]))
     write_vector_text(tmp_path / "y.txt", np.array([1.0, 1.0]))

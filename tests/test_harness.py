@@ -101,14 +101,6 @@ class TestPreserve:
         assert out.read_text() == text
         assert text.endswith("\n")
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        # per-trial streams make results independent of execution order
-        monkeypatch.setenv("NSPLAB_THREADS", "1")
-        serial = csv_body(run_preserve_nsp(preserve_cfg()))
-        monkeypatch.setenv("NSPLAB_THREADS", "4")
-        threaded = csv_body(run_preserve_nsp(preserve_cfg()))
-        assert serial == threaded
-
 
 class TestPhase:
     def test_identity_square_recovers(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nsplab.dictionary import make_dictionary
-from nsplab.errors import BudgetExceededError, DomainError, NotFullSparkError
+from nsplab.errors import BudgetExceededError, NotFullSparkError
 from nsplab.nsp import (
     SgammaParams,
     _certify_lp,
@@ -14,7 +14,6 @@ from nsplab.nsp import (
     estimate_eta,
     eta_grid_oracle,
     in_S_gamma,
-    recovery_error_bound,
 )
 from nsplab.numerics import kernel_basis
 from nsplab.rng import RngStream
@@ -29,14 +28,15 @@ def gamma_star_sampling_oracle(A, s, samples, rng):
     Every probe is a kernel vector, so the result is a valid lower bound.
     """
     N = kernel_basis(np.asarray(A, float))
-    k = N.shape[1]
+    n, k = N.shape
     if k == 0:
         return 0.0
 
     def ratios(C):
-        a = np.sort(np.abs(C @ N.T), axis=1)[:, ::-1]
-        head = a[:, :s].sum(axis=1)
-        tail = a.sum(axis=1) - head
+        # one column per probe: the per-probe reductions then run along the long axis
+        a = np.abs(N @ C.T)
+        head = np.partition(a, n - s, axis=0)[n - s :].sum(axis=0)
+        tail = a.sum(axis=0) - head
         return np.where(tail > 0, head / np.maximum(tail, 1e-300), np.inf)
 
     best = 0.0
@@ -222,6 +222,10 @@ def _oracle_cases():
         "zero-column": np.column_stack([rng.normal((3, 5)), np.zeros(3)]),
         "k=1": rng.normal((5, 6)),
         "zero-matrix": np.zeros((2, 4)),
+        # k = 4: 2 of the 20 three-row blocks of N are rank deficient
+        "block-diagonal": np.array(
+            [[1.0, 1.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, 2.0, 3.0]]
+        ),
     }
 
 
@@ -376,19 +380,6 @@ class TestEstimateEta:
         est = estimate_eta(D, p, 40, rng.substream("eta"))
         grid = eta_grid_oracle(D, p, resolution=700)
         assert est.eta_upper <= grid + 1e-6  # grid points are feasible probes
-
-
-class TestRecoveryErrorBound:
-    def test_examples(self):
-        assert recovery_error_bound(0.5, 1.0, 0.0, 0.0) == 0.0
-        assert recovery_error_bound(0.5, 1.0, 1.0, 0.0) == pytest.approx(6.0, rel=1e-12)
-        assert recovery_error_bound(0.5, 2.0, 0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            recovery_error_bound(1.0, 1.0, 0.0, 0.0)
-        with pytest.raises(DomainError):
-            recovery_error_bound(0.5, 0.0, 0.0, 0.0)
 
 
 class TestDnspRoute:

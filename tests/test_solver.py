@@ -9,7 +9,6 @@ from nsplab.solver import (
     RecoveryBoundInputs,
     RecoveryProblem,
     SplitParams,
-    attach_signal,
     best_s_term_error,
     evaluate_recovery,
     solve_bp_lp,
@@ -122,15 +121,6 @@ class TestSplitting:
         assert res.status == "max_iter"
         assert res.iterations == 3
 
-    def test_dictionary_field_populates_signal(self):
-        D = make_dictionary("gaussian_unit_norm", 4, 6, RngStream(90))
-        x0 = np.zeros(6)
-        x0[2] = 1.0
-        B = RngStream(91).normal((4, 4)) @ D.matrix
-        res = solve_l1_synthesis(RecoveryProblem(B, B @ x0, 0.0, D=D))
-        assert res.z_hat is not None
-        assert np.allclose(res.z_hat, D.matrix @ res.x_hat)
-
 
 class TestRecoveryNspLink:
     def test_certified_composition_recovers_all_plants(self):
@@ -163,7 +153,7 @@ class TestEvaluate:
     def test_exact_recovery_report(self):
         D = make_dictionary("identity", 4, 4)
         x0 = np.array([0.0, 2.0, 0.0, 0.0])
-        res = attach_signal(solve_bp_lp(np.eye(4), x0), D)
+        res = solve_bp_lp(np.eye(4), x0)
         rep = evaluate_recovery(
             x0, res, D, RecoveryBoundInputs(gamma=0.5, eta=1.0, eps=0.0, C=1.0, sigma=1.0, s=1)
         )
@@ -183,6 +173,42 @@ class TestEvaluate:
         assert rep.coefficient_bound == pytest.approx(0.2, rel=1e-12)
         assert rep.signal_bound == pytest.approx(D.op_norm * rep.coefficient_bound, rel=1e-9)
 
+    def test_bound_examples(self):
+        D = make_dictionary("identity", 3, 3)
+        res = solve_bp_lp(np.eye(3), np.array([1.0, 0, 0]))
+        # exact s-sparse signal and no noise: the bound is zero
+        rep = evaluate_recovery(
+            np.array([1.0, 0, 0]),
+            res,
+            D,
+            RecoveryBoundInputs(gamma=0.5, eta=1.0, eps=0.0, C=1.0, sigma=1.0, s=1),
+        )
+        assert rep.coefficient_bound == 0.0
+        # sigma_s = 1 at gamma = 0.5, eps = 0: (2 gamma + 2) / (1 - gamma) = 6
+        x0 = np.array([2.0, 1.0, 0.0])
+        rep = evaluate_recovery(
+            x0,
+            solve_bp_lp(np.eye(3), x0),
+            D,
+            RecoveryBoundInputs(gamma=0.5, eta=1.0, eps=0.0, C=1.0, sigma=1.0, s=1),
+        )
+        assert rep.sigma_s == 1.0
+        assert rep.coefficient_bound == pytest.approx(6.0, rel=1e-12)
+        # noise term 2 eps / (C sigma eta) with sigma_s = 0
+        rep = evaluate_recovery(
+            np.array([1.0, 0, 0]),
+            res,
+            D,
+            RecoveryBoundInputs(gamma=0.5, eta=2.0, eps=1.0, C=1.0, sigma=1.0, s=1),
+        )
+        assert rep.coefficient_bound == pytest.approx(1.0, rel=1e-12)
+
+    def test_bound_inputs_domain(self):
+        with pytest.raises(DomainError):
+            RecoveryBoundInputs(gamma=1.0, eta=1.0, eps=0.0, C=1.0, sigma=1.0, s=1)
+        with pytest.raises(DomainError):
+            RecoveryBoundInputs(gamma=0.5, eta=0.0, eps=0.0, C=1.0, sigma=1.0, s=1)
+
     def test_signal_bound_is_opnorm_times_coefficient_bound(self):
         rng = RngStream(89)
         M = rng.normal((3, 5))
@@ -190,7 +216,7 @@ class TestEvaluate:
         x0 = np.zeros(5)
         x0[0] = 1.0
         B = rng.normal((4, 3)) @ M
-        res = attach_signal(solve_bp_lp(B, B @ x0), D)
+        res = solve_bp_lp(B, B @ x0)
         rep = evaluate_recovery(
             x0, res, D, RecoveryBoundInputs(gamma=0.7, eta=0.5, eps=0.3, C=1.0, sigma=2.0, s=2)
         )
