@@ -15,7 +15,7 @@ import numpy as np
 
 from .dictionary import Dictionary
 from .errors import DomainError
-from .numerics import as_matrix, as_vector, soft_threshold
+from .numerics import as_matrix, as_vector
 from .simplex import LpProblem, solve_lp
 
 
@@ -43,6 +43,7 @@ class RecoveryResult:
     residual_norm: float | None
     iterations: int
     status: str                    # 'converged' | 'max_iter' | 'infeasible'
+    penalty_changes: int = 0       # splitting: balancing steps that moved the penalty
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,8 @@ class SplitParams:
     adapt_iters iterations so the penalty settles (perpetual rebalancing can
     cycle).  Convergence needs both residuals below tol_abs plus a
     tol_rel-scaled norm term; the defaults keep the l1 objective within
-    about 1e-7 of the exact LP value on noiseless problems.
+    about 1e-7 of the exact optimum: the LP value on noiseless problems, the
+    certified optimum of the eps-ball problem otherwise.
     """
 
     step: float = 1.0
@@ -104,6 +106,14 @@ def solve_l1_synthesis(p: RecoveryProblem, params: SplitParams = SplitParams()) 
     Consensus form: z mirrors x for the shrinkage step, r mirrors y - B x
     for the ball projection.  The x update solves a fixed ridge system
     (I + B^T B), cached once; the penalty only enters the shrinkage.
+
+    The stopping rule and residual balancing follow Boyd, Parikh, Chu,
+    Peleato & Eckstein (2011), sections 3.3 and 3.4.1.  Each norm is
+    sqrt(v @ v), which is what np.linalg.norm computes for a real vector,
+    and the dual residual is formed only on the iterations that read it:
+    when the primal test passes, or on a balancing iteration.  Every
+    iterate is the same float64 value as with the residuals formed each
+    time.  penalty_changes counts the balancing steps that moved rho.
     """
     B, y, eps = p.B, p.y, p.eps
     m, n = B.shape
@@ -114,63 +124,71 @@ def solve_l1_synthesis(p: RecoveryProblem, params: SplitParams = SplitParams()) 
         return RecoveryResult(None, None, None, 0, "infeasible")
 
     rho = params.step
-    solve_ridge = np.linalg.inv(np.eye(n) + B.T @ B)  # small n: cache the inverse
+    changes = 0
+    Bt = B.T
+    solve_ridge = np.linalg.inv(np.eye(n) + Bt @ B)  # small n: cache the inverse
     x = np.zeros(n)
     z = np.zeros(n)
     r = y.copy() if eps >= float(np.linalg.norm(y)) else np.zeros(m)
     u_z = np.zeros(n)
     u_r = np.zeros(m)
-    sqrt_dims = math.sqrt(n + m)
+    tol_floor = math.sqrt(n + m) * params.tol_abs
     for it in range(1, params.max_iter + 1):
-        x = solve_ridge @ ((z - u_z) + B.T @ (y - r + u_r))
+        x = solve_ridge @ ((z - u_z) + Bt @ (y - r + u_r))
         bx = B @ x
+        res = y - bx
         z_old, r_old = z, r
-        z = soft_threshold(x + u_z, 1.0 / rho)
-        w = y - bx + u_r
-        wn = float(np.linalg.norm(w))
+        a = x + u_z
+        z = np.sign(a) * np.maximum(np.abs(a) - 1.0 / rho, 0.0)
+        w = res + u_r
+        wn = math.sqrt(w @ w)
         r = w if wn <= eps else (eps / wn) * w
         u_z = u_z + x - z
-        u_r = u_r + (y - bx) - r
+        u_r = u_r + res - r
 
-        pri = math.hypot(float(np.linalg.norm(x - z)), float(np.linalg.norm(y - bx - r)))
-        dual = rho * math.hypot(
-            float(np.linalg.norm(z - z_old)),
-            float(np.linalg.norm(B.T @ (r - r_old))),
-        )
+        d_x = x - z
+        d_r = res - r
+        pri = math.hypot(math.sqrt(d_x @ d_x), math.sqrt(d_r @ d_r))
         scale_pri = max(
-            float(np.linalg.norm(x)),
-            float(np.linalg.norm(z)),
-            float(np.linalg.norm(r)),
-            float(np.linalg.norm(bx)),
-            1.0,
+            math.sqrt(x @ x), math.sqrt(z @ z), math.sqrt(r @ r), math.sqrt(bx @ bx), 1.0
         )
-        scale_dual = max(rho * math.hypot(float(np.linalg.norm(u_z)), float(np.linalg.norm(u_r))), 1.0)
-        eps_pri = sqrt_dims * params.tol_abs + params.tol_rel * scale_pri
-        eps_dual = sqrt_dims * params.tol_abs + params.tol_rel * scale_dual
-        if pri < eps_pri and dual < eps_dual:
-            return RecoveryResult(
-                x_hat=x,
-                objective=float(np.abs(x).sum()),
-                residual_norm=float(np.linalg.norm(y - bx)),
-                iterations=it,
-                status="converged",
-            )
-        if it % 10 == 0 and it <= params.adapt_iters:
+        pri_ok = pri < tol_floor + params.tol_rel * scale_pri
+        balance = it % 10 == 0 and it <= params.adapt_iters
+        if not (pri_ok or balance):
+            continue
+        d_z = z - z_old
+        d_u = Bt @ (r - r_old)
+        dual = rho * math.hypot(math.sqrt(d_z @ d_z), math.sqrt(d_u @ d_u))
+        if pri_ok:
+            scale_dual = max(rho * math.hypot(math.sqrt(u_z @ u_z), math.sqrt(u_r @ u_r)), 1.0)
+            if dual < tol_floor + params.tol_rel * scale_dual:
+                return RecoveryResult(
+                    x_hat=x,
+                    objective=float(np.abs(x).sum()),
+                    residual_norm=math.sqrt(res @ res),
+                    iterations=it,
+                    status="converged",
+                    penalty_changes=changes,
+                )
+        if balance:
             # residual balancing; scaled duals are rescaled with rho
             if pri > 10.0 * dual:
                 rho *= 2.0
                 u_z /= 2.0
                 u_r /= 2.0
+                changes += 1
             elif dual > 10.0 * pri:
                 rho /= 2.0
                 u_z *= 2.0
                 u_r *= 2.0
+                changes += 1
     return RecoveryResult(
         x_hat=x,
         objective=float(np.abs(x).sum()),
         residual_norm=float(np.linalg.norm(y - B @ x)),
         iterations=params.max_iter,
         status="max_iter",
+        penalty_changes=changes,
     )
 
 
@@ -236,5 +254,6 @@ def recovery_result_to_json(result: RecoveryResult) -> dict:
         "objective": result.objective,
         "residual_norm": result.residual_norm,
         "iterations": result.iterations,
+        "penalty_changes": result.penalty_changes,
         "x_hat": None if result.x_hat is None else result.x_hat.tolist(),
     }

@@ -9,6 +9,7 @@ from nsplab.numerics import write_matrix_text, write_vector_text
 from nsplab.rng import RngStream
 from nsplab.simplex import LpResult
 from nsplab.smallball import BoundInputs, m_min
+from nsplab.solver import RecoveryProblem, solve_l1_synthesis
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +112,26 @@ def test_recover_signal_from_dictionary(tmp_path, capsys):
     assert np.allclose(payload["z_hat"], D @ np.array(payload["x_hat"]))
     code, out, _ = run_cli(capsys, *args)
     assert json.loads(out)["z_hat"] is None
+
+
+def test_recover_reports_penalty_changes(tmp_path, capsys):
+    rng = RngStream(92)
+    B = rng.normal((6, 12))
+    x0 = np.zeros(12)
+    x0[[3, 8]] = [1.0, -0.5]
+    y = B @ x0 + 0.05 * rng.unit_vector(6)
+    write_matrix_text(tmp_path / "B.txt", B)
+    write_vector_text(tmp_path / "y.txt", y)
+    args = ("recover", "--B", str(tmp_path / "B.txt"), "--y", str(tmp_path / "y.txt"))
+    code, out, _ = run_cli(capsys, *args, "--eps", "0.05")
+    assert code == 0
+    payload = json.loads(out)
+    # the text round-trip is exact, so the CLI solves the same problem
+    expected = solve_l1_synthesis(RecoveryProblem(B, y, 0.05))
+    assert payload["penalty_changes"] == expected.penalty_changes > 0
+    assert payload["iterations"] == expected.iterations
+    code, out, _ = run_cli(capsys, *args, "--method", "lp")
+    assert json.loads(out)["penalty_changes"] == 0
 
 
 def test_recover_lp_method(tmp_path, capsys):
