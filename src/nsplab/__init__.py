@@ -32,7 +32,6 @@ from .nsp import (
     certify_nsp,
     d_nsp_check,
     estimate_eta,
-    eta_grid_oracle,
     in_S_gamma,
 )
 from .numerics import (
@@ -41,7 +40,6 @@ from .numerics import (
     operator_norm,
     read_matrix_text,
     read_vector_text,
-    soft_threshold,
     write_matrix_text,
     write_vector_text,
 )
@@ -69,21 +67,11 @@ from .solver import (
     solve_bp_lp,
     solve_l1_synthesis,
 )
-from .subgaussian import (
-    SubgaussianSpec,
-    make_spec,
-    sample_measurement_matrix,
-    small_ball_lower_bound,
-    verify_tail,
-)
+from .subgaussian import SubgaussianSpec, make_spec, sample_measurement_matrix
 from .width import (
     ConeParams,
     WidthEstimate,
-    check_lemma_key,
-    check_slepian_contraction,
-    check_soft_moment,
     crude_width_bound,
-    project_onto_cone,
     theory_width_bound,
     unit_ball_width,
     width_DS_gamma_mc,

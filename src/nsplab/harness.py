@@ -72,14 +72,46 @@ class ExperimentConfig:
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
         raw = json.loads(Path(path).read_text())
-        known = {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise DomainError("config must be a JSON object")
+        fields = ExperimentConfig.__dataclass_fields__
+        unknown = set(raw) - set(fields)
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in raw.items():
+            _check_json_value(key, value, fields[key].type)
         for key in ("m_grid", "n_grid", "s_grid", "gamma_grid"):
             if raw.get(key) is not None:
                 raw[key] = tuple(raw[key])
         return ExperimentConfig(**raw)
+
+
+# Annotation of a config field -> (test of a JSON value, what it asks for).
+# bool is a subclass of int in Python, but a JSON true is not a number.
+_JSON_KINDS = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _check_json_value(key: str, value, kind: str) -> None:
+    """Refuse a JSON value that does not fit its field's annotation, e.g. "float | None"."""
+    nullable = kind.endswith("| None")
+    if value is None and nullable:
+        return
+    base = kind.split(" |")[0]
+    if base == "tuple":  # a grid: of integers, except gamma_grid
+        integers = key != "gamma_grid"
+        fits, _ = _JSON_KINDS["int" if integers else "float"]
+        ok = isinstance(value, list) and all(fits(v) for v in value)
+        want = "a list of " + ("integers" if integers else "numbers")
+    else:
+        fits, want = _JSON_KINDS[base]
+        ok = fits(value)
+    if not ok:
+        null = " or null" if nullable else ""
+        raise DomainError(f"config key {key!r} must be {want}{null}, got {value!r}")
 
 
 def _fmt(v) -> str:

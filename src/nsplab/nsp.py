@@ -123,8 +123,8 @@ def _support_lp(N, T, signs, n, tol):
         rows[2 * jj + 1, k + jj] = -1.0
     rows[-1, k:] = 1.0
     rhs[-1] = 1.0
-    bounds = [(None, None)] * k + [(0.0, None)] * nt
-    problem = LpProblem.build(obj, rows, rhs, ["<="] * (2 * nt + 1), bounds=bounds)
+    free = [True] * k + [False] * nt
+    problem = LpProblem.build(obj, rows, rhs, ["<="] * (2 * nt + 1), free=free)
     res = solve_lp(problem, tol=tol)
     if res.status != "optimal":
         raise LpSolveError(f"support LP for T = {T} ended with status {res.status}")
@@ -199,7 +199,8 @@ def certify_nsp(A, s: int, tol: float = 1e-9, budget: int = CERT_BUDGET) -> NspC
     """Exact stable-NSP certificate for A at sparsity s.
 
     gamma_star is the supremum of ||x_T||_1 / ||x_{T^c}||_1 over nonzero
-    kernel vectors and |T| = s; the verdict holds iff gamma_star < 1 - tol.
+    kernel vectors and |T| = s; the verdict holds iff gamma_star < 1 - tol,
+    for a tol in (0, 1).
     The circuit route runs when its C(n, k-1) candidates fit the budget
     (k the kernel dimension), else the LP route when its C(n, s) 2^(s-1)
     LPs do; past both, BudgetExceededError.  The witness is a kernel vector
@@ -210,6 +211,8 @@ def certify_nsp(A, s: int, tol: float = 1e-9, budget: int = CERT_BUDGET) -> NspC
     n = M.shape[1]
     if not (1 <= s <= n):
         raise DomainError(f"s must lie in [1, {n}], got {s}")
+    if not (0 < tol < 1):
+        raise DomainError(f"tol must lie in (0, 1), got {tol}")
     N = kernel_basis(M)
     k = N.shape[1]
     if k == 0:
@@ -328,30 +331,6 @@ def estimate_eta(
             best_val = val
             best_x = x
     return EtaEstimate(best_val, best_x, probes, restarts)
-
-
-def eta_grid_oracle(D, p: SgammaParams, resolution: int = 2000) -> float:
-    """Brute-force grid minimum of ||D x||_2 over S_gamma, for n = 2 or 3 only."""
-    M = D.matrix if isinstance(D, Dictionary) else as_matrix(D)
-    n = M.shape[1]
-    if n == 2:
-        theta = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
-        pts = np.column_stack([np.cos(theta), np.sin(theta)])
-    elif n == 3:
-        k = np.arange(resolution * resolution)
-        golden = (1.0 + math.sqrt(5.0)) / 2.0
-        z = 1.0 - 2.0 * (k + 0.5) / k.size
-        r = np.sqrt(1.0 - z * z)
-        phi = 2.0 * math.pi * ((k / golden) % 1.0)
-        pts = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    else:
-        raise DomainError("grid oracle supports n = 2 or 3 only")
-    a = np.sort(np.abs(pts), axis=1)[:, ::-1]
-    head = a[:, : p.s].sum(axis=1)
-    tail = a.sum(axis=1) - head
-    members = pts[head >= p.gamma * tail - 1e-12]
-    vals = np.linalg.norm(members @ M.T, axis=1)
-    return float(vals.min())
 
 
 def d_nsp_check(D: Dictionary, Phi, s: int, tol: float = 1e-9) -> DnspResult:

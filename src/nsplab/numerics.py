@@ -45,18 +45,6 @@ def nonincreasing_rearrangement(x) -> np.ndarray:
     raise DomainError(f"expected a 1-D or 2-D array, got shape {v.shape}")
 
 
-def soft_threshold(u, t: float):
-    """Shrink u toward zero by t, flattening the dead zone |u| <= t.
-
-    Accepts scalars or arrays; t must be nonnegative.
-    """
-    if not (t >= 0.0):
-        raise DomainError(f"threshold must be nonnegative, got {t}")
-    a = np.asarray(u, dtype=float)
-    out = np.sign(a) * np.maximum(np.abs(a) - t, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def operator_norm(a) -> float:
     """Largest singular value of A (0 for an empty or zero matrix)."""
     A = as_matrix(a)

@@ -2,7 +2,9 @@
 
 Problems are tiny here (tens of variables), so a plain tableau beats any
 external solver: fully deterministic pivoting, explicit unbounded and
-infeasible verdicts, no dependencies.
+infeasible verdicts, no dependencies.  Each variable is nonnegative or free,
+the two kinds the support LPs and basis pursuit build; any other bound is a
+constraint row.
 """
 
 from __future__ import annotations
@@ -19,20 +21,20 @@ _MAX_PIVOTS = 100_000
 
 @dataclass(frozen=True)
 class LpProblem:
-    """maximize objective @ x subject to rows of (constraints, senses, rhs) and bounds.
+    """maximize objective @ x subject to rows of (constraints, senses, rhs).
 
-    senses entries are '<=' or '='.  bounds holds one (lo, hi) pair per
-    variable where None means unbounded on that side; the default is (0, None).
+    senses entries are '<=' or '='.  free holds one bool per variable: a free
+    variable is unbounded, every other one is >= 0 (the default).
     """
 
     objective: np.ndarray
     constraints: np.ndarray
     rhs: np.ndarray
     senses: tuple
-    bounds: tuple
+    free: tuple
 
     @staticmethod
-    def build(objective, constraints, rhs, senses, bounds=None) -> "LpProblem":
+    def build(objective, constraints, rhs, senses, free=None) -> "LpProblem":
         c = as_vector(objective)
         A = as_matrix(constraints)
         b = as_vector(rhs)
@@ -42,13 +44,10 @@ class LpProblem:
         senses = tuple(senses)
         if len(senses) != b.size or any(s not in ("<=", "=") for s in senses):
             raise DomainError("senses must be '<=' or '=' per constraint row")
-        if bounds is None:
-            bounds = tuple((0.0, None) for _ in range(n))
-        else:
-            bounds = tuple((lo, hi) for lo, hi in bounds)
-            if len(bounds) != n:
-                raise DomainError("one (lo, hi) bound pair required per variable")
-        return LpProblem(c, A, b, senses, bounds)
+        free = (False,) * n if free is None else tuple(bool(f) for f in free)
+        if len(free) != n:
+            raise DomainError("one free flag required per variable")
+        return LpProblem(c, A, b, senses, free)
 
 
 @dataclass(frozen=True)
@@ -111,102 +110,40 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9) -> LpResult:
     """Solve an LpProblem; on 'optimal' the returned x is feasible within tol."""
     if not (tol > 0.0):
         raise DomainError("tol must be positive")
-    c0 = problem.objective
-    A0 = problem.constraints
-    b0 = problem.rhs
-    n0 = c0.size
-    m0 = b0.size
+    c0, b, senses = problem.objective, problem.rhs, problem.senses
+    n0, m = c0.size, b.size
 
-    # Rewrite onto nonnegative standard-form variables.  Each original
-    # variable becomes one or two columns plus an affine offset.
-    cols = []       # standard-form columns of A
-    cost = []       # standard-form objective coefficients
-    var_map = []    # (orig index, sign, offset-contribution handled via b shift)
-    b = b0.copy()
-    extra_rows = []  # (col index, upper bound) rows for two-sided bounds
-    for j in range(n0):
-        lo, hi = problem.bounds[j]
-        aj = A0[:, j]
-        if lo is not None and hi is None:
-            if lo != 0.0:
-                b = b - aj * lo
-            cols.append(aj)
-            cost.append(c0[j])
-            var_map.append((j, 1.0, lo))
-        elif lo is None and hi is not None:
-            b = b - aj * hi
-            cols.append(-aj)
-            cost.append(-c0[j])
-            var_map.append((j, -1.0, hi))
-        elif lo is None and hi is None:
-            cols.append(aj)
-            cost.append(c0[j])
-            var_map.append((j, 1.0, 0.0))
-            cols.append(-aj)
-            cost.append(-c0[j])
-            var_map.append((j, -1.0, 0.0))
-        else:
-            if hi < lo:
-                return LpResult("infeasible", None, None, 0)
-            if lo != 0.0:
-                b = b - aj * lo
-            cols.append(aj)
-            cost.append(c0[j])
-            var_map.append((j, 1.0, lo))
-            extra_rows.append((len(cols) - 1, hi - lo))
-
-    ns = len(cols)
-    A = np.column_stack(cols) if ns else np.zeros((m0, 0))
-    rows = [A[i] for i in range(m0)]
-    rhs = list(b)
-    senses = list(problem.senses)
-    for col_idx, ub in extra_rows:
-        row = np.zeros(ns)
-        row[col_idx] = 1.0
-        rows.append(row)
-        rhs.append(ub)
-        senses.append("<=")
-    m = len(rows)
+    # Standard form: x_j >= 0 keeps its column; a free x_j = x_j^+ - x_j^-
+    # adds the negated column right after it.
+    owner = np.repeat(np.arange(n0), 1 + np.array(problem.free, dtype=int))
+    neg = np.zeros(owner.size, dtype=bool)
+    neg[1:] = owner[1:] == owner[:-1]
+    sign = np.where(neg, -1.0, 1.0)
+    ns = owner.size
 
     # Slacks for '<=' rows, then artificials wherever no identity column is
     # available (equalities, and rows flipped for a negative rhs).
-    num_slack = sum(1 for s in senses if s == "<=")
-    T = np.zeros((m, ns + num_slack + 1))
-    slack_col = ns
-    slack_of_row = [-1] * m
-    for i in range(m):
-        T[i, :ns] = rows[i]
-        T[i, -1] = rhs[i]
-        if senses[i] == "<=":
-            T[i, slack_col] = 1.0
-            slack_of_row[i] = slack_col
-            slack_col += 1
-    for i in range(m):
-        if T[i, -1] < 0.0:
-            T[i] = -T[i]
-
+    slack_rows = [i for i in range(m) if senses[i] == "<="]
+    art_start = ns + len(slack_rows)
+    T = np.zeros((m, art_start + 1))
+    T[:, :ns] = problem.constraints[:, owner] * sign
+    T[slack_rows, ns + np.arange(len(slack_rows))] = 1.0
+    T[:, -1] = b
+    flip = b < 0.0
+    T[flip] = -T[flip]
     basis = [-1] * m
-    art_rows = []
-    for i in range(m):
-        sc = slack_of_row[i]
-        if sc >= 0 and T[i, sc] == 1.0:
-            basis[i] = sc
-        else:
-            art_rows.append(i)
-    num_art = len(art_rows)
-    total = ns + num_slack + num_art
-    if num_art:
-        Tfull = np.zeros((m, total + 1))
-        Tfull[:, : ns + num_slack] = T[:, :-1]
-        Tfull[:, -1] = T[:, -1]
-        for k, i in enumerate(art_rows):
-            Tfull[i, ns + num_slack + k] = 1.0
-            basis[i] = ns + num_slack + k
-        T = Tfull
-    art_start = ns + num_slack
+    for k, i in enumerate(slack_rows):
+        if not flip[i]:
+            basis[i] = ns + k
+    art_rows = [i for i in range(m) if basis[i] < 0]
+    total = art_start + len(art_rows)
+    T = np.hstack([T[:, :-1], np.zeros((m, len(art_rows))), T[:, -1:]])
+    for k, i in enumerate(art_rows):
+        T[i, art_start + k] = 1.0
+        basis[i] = art_start + k
     iterations = 0
 
-    if num_art:
+    if art_rows:
         # Phase 1: maximize minus the artificial sum.
         zrow = np.zeros(total + 1)
         zrow[art_start:total] = -1.0
@@ -221,29 +158,22 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9) -> LpResult:
         keep = []
         for i in range(m):
             if basis[i] >= art_start:
-                piv_col = -1
-                for j in range(art_start):
-                    if abs(T[i, j]) > tol:
-                        piv_col = j
-                        break
-                if piv_col >= 0:
-                    _pivot(T, zrow, basis, i, piv_col)
-                    iterations += 1
-                    keep.append(i)
-                # else: redundant row, drop it
-            else:
-                keep.append(i)
-        T = T[keep]
+                nonzero = np.flatnonzero(np.abs(T[i, :art_start]) > tol)
+                if nonzero.size == 0:
+                    continue  # redundant row
+                _pivot(T, zrow, basis, i, int(nonzero[0]))
+                iterations += 1
+            keep.append(i)
+        T = np.column_stack([T[keep, :art_start], T[keep, -1]])
         basis = [basis[i] for i in keep]
-        T = np.column_stack([T[:, :art_start], T[:, -1]])
 
     # Phase 2 on the real objective.
     width = T.shape[1] - 1
-    cost_arr = np.zeros(width)
-    cost_arr[:ns] = cost
-    zrow = np.concatenate([cost_arr, [0.0]])
+    cost = np.zeros(width)
+    cost[:ns] = c0[owner] * sign
+    zrow = np.append(cost, 0.0)
     for i in range(T.shape[0]):
-        cb = cost_arr[basis[i]]
+        cb = cost[basis[i]]
         if cb != 0.0:
             zrow -= cb * T[i]
     status, piv = _run_simplex(T, zrow, basis, range(width), tol)
@@ -252,10 +182,7 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9) -> LpResult:
         return LpResult("unbounded", None, None, iterations)
 
     svals = np.zeros(width)
-    for i, bi in enumerate(basis):
-        svals[bi] = T[i, -1]
-    x = np.zeros(n0)
-    for k, (j, sign, offset) in enumerate(var_map):
-        x[j] += sign * svals[k] + offset
-    value = float(c0 @ x)
-    return LpResult("optimal", x, value, iterations)
+    svals[basis] = T[:, -1]
+    x = 0.0 + svals[:ns][~neg]
+    x[owner[neg]] -= svals[:ns][neg]
+    return LpResult("optimal", x, float(c0 @ x), iterations)

@@ -30,7 +30,7 @@ import numpy as np
 from .dictionary import Dictionary
 from .errors import DomainError
 from .nsp import SgammaParams, in_S_gamma
-from .numerics import as_matrix, nonincreasing_rearrangement
+from .numerics import as_matrix
 from .rng import RngStream
 from .subgaussian import SubgaussianSpec, sample_measurement_matrix
 from .width import ConeParams, WidthEstimate, cone_projection_values
@@ -191,7 +191,7 @@ def estimate_W(
 ) -> WidthEstimate:
     """Empirical mean width: per sample draw m rows f_i = D^T phi_i and signs
     eps_i, form h = m^{-1/2} sum eps_i f_i, and take the supremum over
-    S_gamma via rearrangement plus cone projection."""
+    S_gamma by the cone projection of h D."""
     if m < 1:
         raise DomainError("m must be at least 1")
     M = D.matrix if isinstance(D, Dictionary) else as_matrix(D)
@@ -204,8 +204,7 @@ def estimate_W(
         phi = sample_measurement_matrix(spec, block * m, d, rng).reshape(block, m, d)
         eps = rng.signs((block, m))
         h = np.einsum("bm,bmd->bd", eps, phi) / math.sqrt(m)
-        Hstar = nonincreasing_rearrangement(h @ M)
-        vals.append(cone_projection_values(Hstar, c))
+        vals.append(cone_projection_values(h @ M, c))
         done += block
     v = np.concatenate(vals)
     se = float(v.std(ddof=1) / math.sqrt(v.size)) if v.size > 1 else 0.0

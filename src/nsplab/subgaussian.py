@@ -1,4 +1,4 @@
-"""Subgaussian row distributions: parameters, sampling, and empirical checks.
+"""Subgaussian row distributions: parameters and sampling.
 
 A row distribution is tagged with (alpha, sigma): alpha lower-bounds
 E|<phi, z>| over unit z and sigma gives the Gaussian-type tail
@@ -15,14 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import as_matrix, as_vector
+from .numerics import as_matrix
 from .rng import RngStream
 
 KINDS = ("std_gaussian", "gaussian_sigma", "rademacher")
 
 EIG_FLOOR = 1e-12  # below this, a covariance eigenvalue counts as non-positive
-
-_SAMPLE_BLOCK = 200_000
 
 
 @dataclass(frozen=True)
@@ -34,25 +32,6 @@ class SubgaussianSpec:
     width_constant: float           # the C in W_m(S) <= C sigma w(S)
     covariance: np.ndarray | None = None
     sqrt_covariance: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class TailPoint:
-    t: float
-    empirical: float
-    bound: float
-    std_error: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class TailReport:
-    points: tuple
-    samples: int
-
-    @property
-    def ok(self) -> bool:
-        return all(p.ok for p in self.points)
 
 
 def make_spec(kind, d, covariance=None, width_constant=None) -> SubgaussianSpec:
@@ -114,48 +93,3 @@ def sample_measurement_matrix(spec: SubgaussianSpec, m, d, rng: RngStream) -> np
     if spec.kind == "std_gaussian":
         return G
     return G @ spec.sqrt_covariance  # rows are Sigma^{1/2} g
-
-
-def small_ball_lower_bound(spec: SubgaussianSpec, t: float) -> float:
-    """Marginal small-ball bound (alpha - t)^2 / (4 sigma^2), valid for 0 < t < alpha."""
-    if not (0.0 < t < spec.alpha):
-        raise DomainError(f"t must lie in (0, alpha) = (0, {spec.alpha}), got {t}")
-    return (spec.alpha - t) ** 2 / (4.0 * spec.sigma**2)
-
-
-def verify_tail(spec: SubgaussianSpec, z, t_grid, samples, rng: RngStream) -> TailReport:
-    """Empirical tail frequencies of <phi, z> against 2 exp(-t^2/(2 sigma^2)).
-
-    Flags any grid point where the frequency exceeds the bound by more than
-    three binomial standard errors.
-    """
-    zv = as_vector(z)
-    if abs(np.linalg.norm(zv) - 1.0) > 1e-10:
-        raise DomainError("z must be a unit vector")
-    ts = as_vector(t_grid)
-    counts = np.zeros(ts.size)
-    done = 0
-    while done < samples:
-        block = min(_SAMPLE_BLOCK, samples - done)
-        phi = sample_measurement_matrix(spec, block, spec.dim, rng)
-        u = np.abs(phi @ zv)
-        counts += (u[None, :] >= ts[:, None]).sum(axis=1)
-        done += block
-    points = []
-    for t, cnt in zip(ts, counts):
-        emp = cnt / samples
-        bound = 2.0 * math.exp(-(t**2) / (2.0 * spec.sigma**2))
-        se = math.sqrt(max(emp * (1.0 - emp), 0.0) / samples)
-        points.append(TailPoint(float(t), float(emp), bound, se, emp <= bound + 3.0 * se))
-    return TailReport(tuple(points), int(samples))
-
-
-def spec_to_json(spec: SubgaussianSpec, covariance_path=None) -> dict:
-    """Plain JSON object {kind, alpha, sigma, C, covariance_path}."""
-    return {
-        "kind": spec.kind,
-        "alpha": spec.alpha,
-        "sigma": spec.sigma,
-        "C": spec.width_constant,
-        "covariance_path": covariance_path,
-    }

@@ -43,6 +43,18 @@ def test_nsp_check_lp_failure_exits_1(tmp_path, capsys, monkeypatch, failure):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("tol", ["-0.6", "nan"])
+def test_nsp_check_tol_outside_unit_interval_exits_1(tmp_path, capsys, tol):
+    # gamma_star = 1.17 at s = 1 fails the NSP; the verdict rule gamma_star < 1 - tol
+    # would call it "holds" at tol = -0.6
+    path = tmp_path / "A.txt"
+    write_matrix_text(path, RngStream(2).normal((6, 10)))
+    code, out, err = run_cli(capsys, "nsp-check", "--A", str(path), "--s", "1", "--tol", tol)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_nsp_check_missing_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "nsp-check", "--A", str(tmp_path / "nope.txt"), "--s", "1")
     assert code == 1
@@ -185,3 +197,32 @@ def test_phase_runs_small_config(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "phase", "--config", str(path))
     assert code == 0
     assert out.splitlines()[1] == "m,trial,success,err_x,err_z,sigma_s"
+
+
+PRESERVE_CFG = {
+    "experiment": "preserve_nsp", "d": 5, "n": 7, "s": 1, "gamma": 0.9,
+    "seed": 3, "m_grid": [5], "trials": 3,
+}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {**PRESERVE_CFG, "d": "5"},
+        {**PRESERVE_CFG, "m_grid": [3.5]},
+        {**PRESERVE_CFG, "seed": 1.5},
+        {**PRESERVE_CFG, "trials": "x"},
+        {**PRESERVE_CFG, "trials": True},
+        {**PRESERVE_CFG, "n_grid": [10.0]},
+        [PRESERVE_CFG],
+    ],
+    ids=["d-string", "m_grid-float", "seed-float", "trials-string", "trials-bool", "n_grid-float",
+         "list"],
+)
+def test_config_value_of_wrong_type_exits_1(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "preserve", "--config", str(path), "--quiet")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err

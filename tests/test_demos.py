@@ -3,19 +3,32 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
 
 
-def test_sparse_recovery_demo_runs():
+def run_demo(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "sparse_recovery.py")],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
         cwd=ROOT,
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("name", [d for d in DEMOS if d != "sparse_recovery.py"])
+def test_demo_runs(name):
+    proc = run_demo(name)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_sparse_recovery_demo_runs():
+    proc = run_demo("sparse_recovery.py")
     assert proc.returncode == 0, proc.stderr
     assert any(line.startswith("splitting: ") for line in proc.stdout.splitlines())

@@ -12,60 +12,11 @@ from nsplab.nsp import (
     certify_nsp,
     d_nsp_check,
     estimate_eta,
-    eta_grid_oracle,
     in_S_gamma,
 )
 from nsplab.numerics import kernel_basis
 from nsplab.rng import RngStream
-
-
-def gamma_star_sampling_oracle(A, s, samples, rng):
-    """Max of ||x_T||_1 / ||x_{T^c}||_1 over random kernel vectors.
-
-    Independent of the LP path.  Spends 60% of the budget on isotropic
-    kernel coefficients and the rest on random resampling in shrinking
-    neighborhoods of the incumbent, so sharp maxima are still located.
-    Every probe is a kernel vector, so the result is a valid lower bound.
-    """
-    N = kernel_basis(np.asarray(A, float))
-    n, k = N.shape
-    if k == 0:
-        return 0.0
-
-    def ratios(C):
-        # one column per probe: the per-probe reductions then run along the long axis
-        a = np.abs(N @ C.T)
-        head = np.partition(a, n - s, axis=0)[n - s :].sum(axis=0)
-        tail = a.sum(axis=0) - head
-        return np.where(tail > 0, head / np.maximum(tail, 1e-300), np.inf)
-
-    best = 0.0
-    best_c = None
-    bulk = int(samples * 0.6)
-    done = 0
-    while done < bulk:
-        block = min(250_000, bulk - done)
-        C = rng.normal((block, k))
-        r = ratios(C)
-        i = int(np.argmax(r))
-        if r[i] > best:
-            best = float(r[i])
-            best_c = C[i] / np.linalg.norm(C[i])
-        done += block
-    if not math.isfinite(best):
-        return math.inf
-    rounds = 10
-    per_round = max((samples - bulk) // rounds, 1)
-    radius = 0.5
-    for _ in range(rounds):
-        C = best_c[None, :] + radius * rng.normal((per_round, k))
-        r = ratios(C)
-        i = int(np.argmax(r))
-        if r[i] > best:
-            best = float(r[i])
-            best_c = C[i] / np.linalg.norm(C[i])
-        radius *= 0.4
-    return best
+from oracles import eta_grid_oracle, gamma_star_sampling_oracle
 
 
 class TestInSgamma:

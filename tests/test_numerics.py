@@ -10,11 +10,11 @@ from nsplab.numerics import (
     operator_norm,
     read_matrix_text,
     read_vector_text,
-    soft_threshold,
     write_matrix_text,
     write_vector_text,
 )
 from nsplab.rng import RngStream
+from oracles import soft_threshold
 
 
 class TestRearrangement:

@@ -12,8 +12,9 @@ from nsplab.simplex import LpProblem, _pivot, solve_lp
 def lp_vertex_oracle(problem, feas_tol=1e-7):
     """Best objective over all basic feasible points, by brute enumeration.
 
-    Builds the full list of inequality/equality facets (rows and finite
-    bounds), solves every square subsystem, and keeps feasible solutions.
+    Builds the full list of inequality/equality facets (rows and x_j >= 0 for
+    every variable that is not free), solves every square subsystem, and
+    keeps feasible solutions.
     Only meaningful for small, bounded, feasible problems.
     """
     n = problem.objective.size
@@ -24,13 +25,11 @@ def lp_vertex_oracle(problem, feas_tol=1e-7):
             eq_rows.append((a, b))
         else:
             ineq_rows.append((a, b))
-    for j, (lo, hi) in enumerate(problem.bounds):
-        e = np.zeros(n)
-        e[j] = 1.0
-        if lo is not None:
-            ineq_rows.append((-e, -lo))
-        if hi is not None:
-            ineq_rows.append((e, hi))
+    for j, free in enumerate(problem.free):
+        if not free:
+            e = np.zeros(n)
+            e[j] = 1.0
+            ineq_rows.append((-e, 0.0))
 
     def feasible(x):
         for a, b in eq_rows:
@@ -78,10 +77,10 @@ def test_equality_and_free_variables():
     # max x1 + x2 with x1 + x2 = 1, x1 free, 0 <= x2 <= 0.25
     p = LpProblem.build(
         [1.0, 1.0],
-        [[1.0, 1.0]],
-        [1.0],
-        ["="],
-        bounds=[(None, None), (0.0, 0.25)],
+        [[1.0, 1.0], [0.0, 1.0]],
+        [1.0, 0.25],
+        ["=", "<="],
+        free=[True, False],
     )
     res = solve_lp(p)
     assert res.status == "optimal"
@@ -89,8 +88,8 @@ def test_equality_and_free_variables():
 
 
 def test_negative_lower_bound():
-    # max -x subject to x >= -2  ->  x = -2
-    p = LpProblem.build([-1.0], np.zeros((0, 1)), [], [], bounds=[(-2.0, None)])
+    # max -x subject to x >= -2  ->  x = -2: a free x with the row -x <= 2
+    p = LpProblem.build([-1.0], [[-1.0]], [2.0], ["<="], free=[True])
     res = solve_lp(p)
     assert res.status == "optimal"
     assert res.x[0] == pytest.approx(-2.0, abs=1e-9)
@@ -98,8 +97,8 @@ def test_negative_lower_bound():
 
 
 def test_upper_bounded_only_variable():
-    # max x subject to x <= 5 (no lower bound)
-    p = LpProblem.build([1.0], np.zeros((0, 1)), [], [], bounds=[(None, 5.0)])
+    # max x subject to x <= 5 (no lower bound): a free x with the row x <= 5
+    p = LpProblem.build([1.0], [[1.0]], [5.0], ["<="], free=[True])
     res = solve_lp(p)
     assert res.status == "optimal"
     assert res.value == pytest.approx(5.0, abs=1e-9)
@@ -112,9 +111,8 @@ def _random_bounded_lp(rng):
     x0 = np.abs(rng.normal(n))  # interior feasible point
     b = A @ x0 + np.abs(rng.normal(m)) + 0.1
     c = rng.normal(n)
-    ub = np.abs(rng.normal(n)) * 3.0 + 1.0
-    bounds = [(0.0, float(u)) for u in ub]
-    return LpProblem.build(c, A, b, ["<="] * m, bounds=bounds)
+    ub = np.abs(rng.normal(n)) * 3.0 + 1.0  # x <= ub as n more rows
+    return LpProblem.build(c, np.vstack([A, np.eye(n)]), np.concatenate([b, ub]), ["<="] * (m + n))
 
 
 def test_agrees_with_vertex_enumeration_oracle():
@@ -128,8 +126,7 @@ def test_agrees_with_vertex_enumeration_oracle():
         assert res.value == pytest.approx(oracle, abs=1e-8), f"trial {trial}"
         # returned point is feasible
         assert np.all(p.constraints @ res.x <= p.rhs + 1e-8)
-        for xj, (lo, hi) in zip(res.x, p.bounds):
-            assert xj >= lo - 1e-8 and xj <= hi + 1e-8
+        assert np.all(res.x >= -1e-8)
         assert res.value == pytest.approx(float(p.objective @ res.x), abs=1e-9)
 
 
@@ -143,8 +140,10 @@ def test_equality_constrained_against_oracle():
         x0 = np.abs(sub.normal(n))
         b = A @ x0
         c = sub.normal(n)
-        ub = [(0.0, float(u)) for u in np.abs(sub.normal(n)) * 2 + np.abs(x0) + 0.5]
-        p = LpProblem.build(c, A, b, ["="] * m, bounds=ub)
+        ub = np.abs(sub.normal(n)) * 2 + np.abs(x0) + 0.5  # x <= ub as n more rows
+        p = LpProblem.build(
+            c, np.vstack([A, np.eye(n)]), np.concatenate([b, ub]), ["="] * m + ["<="] * n
+        )
         res = solve_lp(p)
         assert res.status == "optimal"
         oracle = lp_vertex_oracle(p)

@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -19,38 +18,9 @@ from nsplab.smallball import (
     success_probability,
     success_rate,
 )
-from nsplab.subgaussian import make_spec, small_ball_lower_bound
+from nsplab.subgaussian import make_spec
 from nsplab.width import ConeParams, width_DS_gamma_mc
-
-mpmath.mp.dps = 50
-
-
-def mp_m_min(formula_id, eta, gamma, rho, alpha, sigma, C, s, n, kappa=None, width=None):
-    """Independent high-precision evaluation of the printed formulas."""
-    eta, gamma, rho, alpha, sigma, C = map(mpmath.mpf, (eta, gamma, rho, alpha, sigma, C))
-    log_ns = mpmath.log(mpmath.sqrt(2) * n / s)
-    if formula_id == "thm_S":
-        return mpmath.mpf(4) ** 8 / eta**2 * sigma**6 / alpha**6 * C**2 * mpmath.mpf(width) ** 2
-    if formula_id == "thm_main":
-        return 36 * mpmath.mpf(4) ** 8 / eta**2 * sigma**6 / alpha**6 * rho / gamma**2 * C**2 * s * log_ns
-    if formula_id == "cor_non":
-        return 9 * mpmath.mpf(2) ** 15 * mpmath.pi**3 / eta**2 * rho * mpmath.mpf(kappa) ** 3 / gamma**2 * s * log_ns
-    if formula_id == "cor_sgauss":
-        return 9 * mpmath.mpf(2) ** 15 * mpmath.pi**3 / eta**2 * rho / gamma**2 * s * log_ns
-    if formula_id == "thm_main_gauss":
-        return 18 * mpmath.mpf(2) ** 9 * mpmath.pi * mpmath.e / eta**2 * rho * mpmath.mpf(kappa) / gamma**2 * s * mpmath.log(2 * n)
-    raise ValueError(formula_id)
-
-
-def mp_rate(formula_id, alpha, sigma, kappa=None):
-    alpha, sigma = mpmath.mpf(alpha), mpmath.mpf(sigma)
-    if formula_id in ("thm_S", "thm_main"):
-        return alpha**4 / (mpmath.mpf(64) ** 2 * sigma**4)
-    if formula_id == "cor_non":
-        return mpmath.mpf(kappa) ** 2 / (mpmath.mpf(4) ** 5 * mpmath.pi**2)
-    if formula_id == "cor_sgauss":
-        return 1 / (mpmath.mpf(4) ** 5 * mpmath.pi**2)
-    return 1 / (128 * mpmath.e * mpmath.pi)
+from oracles import mp_m_min, mp_rate, small_ball_lower_bound
 
 
 STD_ALPHA = math.sqrt(2.0 / math.pi)

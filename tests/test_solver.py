@@ -6,7 +6,6 @@ import pytest
 from nsplab.dictionary import make_dictionary
 from nsplab.errors import DomainError
 from nsplab.nsp import certify_nsp
-from nsplab.numerics import soft_threshold
 from nsplab.rng import RngStream
 from nsplab.solver import (
     RecoveryBoundInputs,
@@ -19,6 +18,7 @@ from nsplab.solver import (
     solve_l1_synthesis,
 )
 from nsplab.subgaussian import make_spec, sample_measurement_matrix
+from oracles import soft_threshold
 
 
 def reference_l1_synthesis(p: RecoveryProblem, params: SplitParams = SplitParams()) -> RecoveryResult:

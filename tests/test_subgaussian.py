@@ -5,14 +5,8 @@ import pytest
 
 from nsplab.errors import DomainError
 from nsplab.rng import RngStream
-from nsplab.subgaussian import (
-    condition_number,
-    make_spec,
-    sample_measurement_matrix,
-    small_ball_lower_bound,
-    spec_to_json,
-    verify_tail,
-)
+from nsplab.subgaussian import condition_number, make_spec, sample_measurement_matrix
+from oracles import small_ball_lower_bound, spec_to_json, verify_tail
 
 
 def normal_cdf(t):
@@ -115,28 +109,28 @@ class TestVerifyTail:
 
     def test_vacuous_bound_at_t1(self):
         spec = make_spec("std_gaussian", 3)
-        rep = verify_tail(spec, np.array([1.0, 0, 0]), [1.0], 10_000, RngStream(5))
-        assert rep.points[0].bound == pytest.approx(2.0 * math.exp(-0.5), rel=1e-12)
-        assert rep.points[0].bound > 1.0
-        assert rep.ok
+        z = np.array([1.0, 0, 0])
+        [(t, emp, bound, se)] = verify_tail(spec, z, [1.0], 10_000, RngStream(5))
+        assert bound == pytest.approx(2.0 * math.exp(-0.5), rel=1e-12)
+        assert bound > 1.0
+        assert emp <= bound + 3.0 * se
 
     def test_std_gaussian_t3(self):
         spec = make_spec("std_gaussian", 4)
         z = RngStream(6).unit_vector(4)
-        rep = verify_tail(spec, z, [3.0], 400_000, RngStream(7))
-        p = rep.points[0]
-        assert p.empirical == pytest.approx(2.0 * (1.0 - normal_cdf(3.0)), abs=5e-4)
-        assert p.empirical <= p.bound
-        assert rep.ok
+        [(t, emp, bound, se)] = verify_tail(spec, z, [3.0], 400_000, RngStream(7))
+        assert emp == pytest.approx(2.0 * (1.0 - normal_cdf(3.0)), abs=5e-4)
+        assert emp <= bound
+        assert emp <= bound + 3.0 * se
 
     def test_anisotropic_direction(self):
         # <phi, e1> ~ N(0, 4): tail at t=6 is the 3-sigma normal tail
         spec = make_spec("gaussian_sigma", 2, covariance=np.diag([4.0, 1.0]))
-        rep = verify_tail(spec, np.array([1.0, 0.0]), [6.0], 400_000, RngStream(8))
-        p = rep.points[0]
-        assert p.bound == pytest.approx(2.0 * math.exp(-36.0 / 8.0), rel=1e-12)
-        assert p.empirical == pytest.approx(2.0 * (1.0 - normal_cdf(3.0)), abs=5e-4)
-        assert rep.ok
+        z = np.array([1.0, 0.0])
+        [(t, emp, bound, se)] = verify_tail(spec, z, [6.0], 400_000, RngStream(8))
+        assert bound == pytest.approx(2.0 * math.exp(-36.0 / 8.0), rel=1e-12)
+        assert emp == pytest.approx(2.0 * (1.0 - normal_cdf(3.0)), abs=5e-4)
+        assert emp <= bound + 3.0 * se
 
     def test_all_kinds_pass_on_sigma_grid(self):
         z4 = RngStream(9).unit_vector(4)
@@ -147,8 +141,9 @@ class TestVerifyTail:
         ):
             spec = make_spec(kind, 4, **kwargs)
             grid = [0.5 * spec.sigma, spec.sigma, 2 * spec.sigma, 3 * spec.sigma]
-            rep = verify_tail(spec, z4, grid, 200_000, RngStream(10).substream(kind))
-            assert rep.ok, (kind, rep.points)
+            points = verify_tail(spec, z4, grid, 200_000, RngStream(10).substream(kind))
+            for t, emp, bound, se in points:
+                assert emp <= bound + 3.0 * se, (kind, points)
 
 
 def test_first_moment_matches_alpha_for_std_gaussian():

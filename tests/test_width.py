@@ -9,23 +9,20 @@ from nsplab.numerics import nonincreasing_rearrangement
 from nsplab.rng import RngStream
 from nsplab.width import (
     ConeParams,
-    check_lemma_key,
-    check_slepian_contraction,
-    check_soft_moment,
     cone_projection_values,
     crude_width_bound,
-    project_onto_cone,
+    project_cone_batch,
     theory_width_bound,
     unit_ball_width,
     width_DS_gamma_mc,
 )
-
-
-def soft_moment_quadrature(sigma, t, grid=2_000_001, upper=14.0):
-    """Independent oracle: E S_t^2(a) = 2 int_t^inf (u-t)^2 phi_sigma(u) du."""
-    u = np.linspace(t, t + upper * sigma, grid)
-    phi = np.exp(-(u * u) / (2 * sigma * sigma)) / (sigma * math.sqrt(2 * math.pi))
-    return 2.0 * np.trapezoid((u - t) ** 2 * phi, u)
+from oracles import (
+    check_lemma_key,
+    check_slepian_contraction,
+    check_soft_moment,
+    dykstra_projection,
+    soft_moment_quadrature,
+)
 
 
 def max_abs_normal_quadrature(n, grid=900_001, upper=9.0):
@@ -33,28 +30,6 @@ def max_abs_normal_quadrature(n, grid=900_001, upper=9.0):
     t = np.linspace(0.0, upper, grid)
     Phi = 0.5 * (1.0 + np.vectorize(math.erf)(t / math.sqrt(2.0)))
     return float(np.trapezoid(1.0 - (2.0 * Phi - 1.0) ** n, t))
-
-
-def dykstra_projection(H, c, tol=1e-13, max_sweeps=1_000_000):
-    """Independent oracle: row-wise projection onto K by Dykstra's scheme.
-
-    Alternates between the nonnegative orthant and the halfspace {a @ u >= 0}
-    until successive iterates move less than tol.
-    """
-    a = c.halfspace_normal()
-    X = np.atleast_2d(np.asarray(H, dtype=float)).copy()
-    P = np.zeros_like(X)
-    Q = np.zeros_like(X)
-    for _ in range(max_sweeps):
-        X_prev = X
-        Y = np.maximum(X + P, 0.0)
-        P = X + P - Y
-        V = Y + Q
-        X = V - np.minimum(V @ a, 0.0)[:, None] / (a @ a) * a
-        Q = V - X
-        if np.max(np.abs(X - X_prev)) < tol:
-            return X
-    raise AssertionError("Dykstra oracle did not converge")
 
 
 def sample_cone_sphere(c, count, rng):
@@ -81,23 +56,17 @@ class TestUnitBallWidth:
 
 
 class TestProjection:
+    """project_cone_batch on rearranged rows: nonnegative, largest first."""
+
     def test_fixed_point_inside_cone(self):
         c = ConeParams(0.5, 1, 4)
         h = np.array([3.0, 1.0, 0.5, 0.2])  # head 3 >= 0.5 * 1.7
-        assert np.allclose(project_onto_cone(h, c), h, atol=1e-9)
+        assert np.allclose(project_cone_batch(h, c)[0], h, atol=1e-9)
 
-    def test_all_negative_projects_to_zero(self):
-        c = ConeParams(0.7, 2, 5)
-        h = -np.abs(RngStream(41).normal(5)) - 0.1
-        p = project_onto_cone(h, c)
-        assert np.linalg.norm(p) < 1e-9
-        # polar membership: h has nonpositive inner product with the cone
-        U = sample_cone_sphere(c, 500, RngStream(42))
-        assert np.all(U @ h <= 1e-12)
-
-    def test_two_dimensional_closed_form(self):
-        p = project_onto_cone(np.array([0.0, 1.0]), ConeParams(1.0, 1, 2))
-        assert np.allclose(p, [0.5, 0.5], atol=1e-9)
+    def test_three_dimensional_closed_form(self):
+        # phi(lam) = (1 + lam) - 2 (1 - lam) vanishes at lam* = 1/3
+        p = project_cone_batch(np.ones(3), ConeParams(1.0, 1, 3))[0]
+        assert np.allclose(p, [4.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0], atol=1e-9)
 
     def test_kkt_and_distance_dominance(self):
         rng = RngStream(43)
@@ -107,8 +76,8 @@ class TestProjection:
             n = int(sub.integers(2, 8))
             s = int(sub.integers(1, n + 1))
             c = ConeParams(float(sub.uniform() * 0.9 + 0.1), s, n)
-            cases.append((c, sub.normal(n) * 2.0, sub))
-        degenerate = [
+            cases.append((c, nonincreasing_rearrangement(sub.normal(n) * 2.0), sub))
+        degenerate = [  # listed before rearrangement
             (ConeParams(0.6, 2, 6), [1.0, -0.5, 2.0, 2.0, 1.0, 2.0]),  # ties
             (ConeParams(0.6, 2, 6), [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),  # all tied
             (ConeParams(0.4, 5, 5), [-1.0, 2.0, 0.5, -3.0, 0.0]),  # s = n
@@ -118,9 +87,9 @@ class TestProjection:
             (ConeParams(0.7, 2, 5), [-1.0, -0.2, -3.0, -0.1, -2.0]),  # all negative
         ]
         for i, (c, h) in enumerate(degenerate):
-            cases.append((c, np.array(h), rng.substream("degenerate", i)))
+            cases.append((c, nonincreasing_rearrangement(h), rng.substream("degenerate", i)))
         for c, h, sub in cases:
-            u = project_onto_cone(h, c)
+            u = project_cone_batch(h, c)[0]
             assert np.allclose(u, dykstra_projection(h, c)[0], rtol=0.0, atol=1e-9)
             a = c.halfspace_normal()
             assert np.all(u >= -1e-9)
@@ -142,7 +111,7 @@ class TestProjection:
             s = int(sub.integers(1, n + 1))
             c = ConeParams(float(sub.uniform() * 0.9 + 0.1), s, n)
             hstar = np.sort(np.abs(sub.normal(n)))[::-1]
-            proj_norm = float(np.linalg.norm(project_onto_cone(hstar, c)))
+            proj_norm = float(np.linalg.norm(project_cone_batch(hstar, c)[0]))
             U = sample_cone_sphere(c, 1_000_000, sub.substream("pts"))
             sampled = float((U @ hstar).max())
             assert sampled <= proj_norm + 1e-9
@@ -192,9 +161,9 @@ class TestWidthEstimators:
         rng = RngStream(49)
         D = make_dictionary("gaussian_unit_norm", 5, 10, rng.substream("dict"))
         c = ConeParams(0.5, 2, 10)
-        G = rng.substream("g").normal((5000, 5))
-        Hstar = np.sort(np.abs(G @ D.matrix), axis=1)[:, ::-1]
-        cone_vals = cone_projection_values(Hstar, c)
+        H = rng.substream("g").normal((5000, 5)) @ D.matrix
+        Hstar = np.sort(np.abs(H), axis=1)[:, ::-1]
+        cone_vals = cone_projection_values(H, c)
         oracle_vals = np.linalg.norm(dykstra_projection(Hstar, c), axis=1)
         assert np.max(np.abs(cone_vals - oracle_vals)) <= 1e-9
 
@@ -251,71 +220,80 @@ class TestTheoryBounds:
 
 class TestSoftMoment:
     def test_matches_quadrature_oracle(self):
-        check = check_soft_moment(1.0, 1.0, 300_000, RngStream(55))
+        empirical, bound, std_error = check_soft_moment(1.0, 1.0, 300_000, RngStream(55))
         oracle = soft_moment_quadrature(1.0, 1.0)
         assert oracle == pytest.approx(0.1506796, abs=1e-6)  # frozen oracle value
-        assert abs(check.empirical - oracle) <= 3.0 * check.std_error
-        assert check.bound == pytest.approx(0.2935253, abs=1e-6)
-        assert check.ok
+        assert abs(empirical - oracle) <= 3.0 * std_error
+        assert bound == pytest.approx(0.2935253, abs=1e-6)
+        assert empirical <= bound + 3.0 * std_error
 
     def test_large_threshold_kills_everything(self):
-        check = check_soft_moment(1.0, 8.0, 100_000, RngStream(56))
-        assert check.empirical <= 1e-10
-        assert check.ok
+        empirical, bound, std_error = check_soft_moment(1.0, 8.0, 100_000, RngStream(56))
+        assert empirical <= 1e-10
+        assert empirical <= bound + 3.0 * std_error
 
     def test_scale_law(self):
         # S_t(sigma a) = sigma S_{t/sigma}(a): second moments scale by sigma^2
-        a = check_soft_moment(2.0, 2.0, 400_000, RngStream(57))
-        b = check_soft_moment(1.0, 1.0, 400_000, RngStream(57))
-        assert a.empirical == pytest.approx(4.0 * b.empirical, rel=0.03)
-        assert a.bound == pytest.approx(4.0 * b.bound, rel=1e-12)
+        a_empirical, a_bound, _ = check_soft_moment(2.0, 2.0, 400_000, RngStream(57))
+        b_empirical, b_bound, _ = check_soft_moment(1.0, 1.0, 400_000, RngStream(57))
+        assert a_empirical == pytest.approx(4.0 * b_empirical, rel=0.03)
+        assert a_bound == pytest.approx(4.0 * b_bound, rel=1e-12)
 
 
 class TestLemmaKey:
     def test_zero_dictionary(self):
         D = make_dictionary("user_matrix", 3, 5, matrix=np.zeros((3, 5)))
-        check = check_lemma_key(D, 1, 1000, RngStream(58))
-        assert check.empirical == 0.0
-        assert check.ok
+        empirical, bound, std_error = check_lemma_key(D, 1, 1000, RngStream(58))
+        assert empirical == 0.0
+        assert empirical <= bound + 3.0 * std_error
 
     def test_identity_max_abs_normal(self):
         D = make_dictionary("identity", 10, 10)
-        check = check_lemma_key(D, 1, 200_000, RngStream(59))
+        empirical, bound, std_error = check_lemma_key(D, 1, 200_000, RngStream(59))
         oracle = max_abs_normal_quadrature(10)
         assert oracle == pytest.approx(1.8807, abs=2e-4)  # frozen oracle value
-        assert abs(check.empirical - oracle) <= 3.0 * check.std_error
-        assert check.bound == pytest.approx(3.2552473, abs=1e-6)
-        assert check.ok
+        assert abs(empirical - oracle) <= 3.0 * std_error
+        assert bound == pytest.approx(3.2552473, abs=1e-6)
+        assert empirical <= bound + 3.0 * std_error
 
     def test_column_scaling_homogeneity(self):
         rng = RngStream(60)
         M = rng.normal((4, 8))
         D1 = make_dictionary("user_matrix", 4, 8, matrix=M)
         D2 = make_dictionary("user_matrix", 4, 8, matrix=2.0 * M)
-        c1 = check_lemma_key(D1, 2, 50_000, RngStream(61))
-        c2 = check_lemma_key(D2, 2, 50_000, RngStream(61))
-        assert c2.empirical == pytest.approx(2.0 * c1.empirical, rel=1e-9)
-        assert c2.bound == pytest.approx(2.0 * c1.bound, rel=1e-12)
+        empirical1, bound1, _ = check_lemma_key(D1, 2, 50_000, RngStream(61))
+        empirical2, bound2, _ = check_lemma_key(D2, 2, 50_000, RngStream(61))
+        assert empirical2 == pytest.approx(2.0 * empirical1, rel=1e-9)
+        assert bound2 == pytest.approx(2.0 * bound1, rel=1e-12)
 
 
 class TestSlepian:
     def test_identity_equality(self):
         pts = RngStream(62).normal((20, 4))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
-        check = check_slepian_contraction(np.eye(4), pts, 20_000, RngStream(63))
-        assert check.lhs == pytest.approx(check.rhs, rel=1e-9)
-        assert check.ok
+        lhs, rhs, lhs_std_error, rhs_std_error = check_slepian_contraction(
+            np.eye(4), pts, 20_000, RngStream(63)
+        )
+        assert lhs == pytest.approx(rhs, rel=1e-9)
+        slack = 3.0 * math.hypot(lhs_std_error, rhs_std_error)
+        assert lhs <= rhs + slack
 
     def test_scaling_equality(self):
         pts = RngStream(64).normal((10, 3))
-        check = check_slepian_contraction(2.0 * np.eye(3), pts, 20_000, RngStream(65))
-        assert check.lhs == pytest.approx(check.rhs, rel=1e-7)
-        assert check.ok
+        lhs, rhs, lhs_std_error, rhs_std_error = check_slepian_contraction(
+            2.0 * np.eye(3), pts, 20_000, RngStream(65)
+        )
+        assert lhs == pytest.approx(rhs, rel=1e-7)
+        slack = 3.0 * math.hypot(lhs_std_error, rhs_std_error)
+        assert lhs <= rhs + slack
 
     def test_random_rectangular(self):
         rng = RngStream(66)
         F = rng.normal((3, 5))
         pts = rng.normal((20, 5))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
-        check = check_slepian_contraction(F, pts, 50_000, rng.substream("mc"))
-        assert check.ok
+        lhs, rhs, lhs_std_error, rhs_std_error = check_slepian_contraction(
+            F, pts, 50_000, rng.substream("mc")
+        )
+        slack = 3.0 * math.hypot(lhs_std_error, rhs_std_error)
+        assert lhs <= rhs + slack
