@@ -30,7 +30,7 @@ print("\n== sparsity shrinks the set ==")
 header = f"{'s':>3} {'gamma':>6} {'mc':>8} {'theory':>8} {'crude':>8}"
 print(header)
 D = make_dictionary("gaussian_unit_norm", 16, 32, rng.substream("dict"))
-crude = crude_width_bound(D, 32)
+crude = crude_width_bound(D)
 for s in (1, 2, 3):
     for gamma in (0.5, 1.0):
         cone = ConeParams(gamma, s, 32)

@@ -61,6 +61,8 @@ def _cmd_recover(args) -> int:
     payload["z_hat"] = z_hat
     if args.x0 and result.x_hat is not None:
         x0 = read_vector_text(args.x0)
+        if x0.size != result.x_hat.size:
+            raise NsplabError(f"x0 has {x0.size} entries, the solution has {result.x_hat.size}")
         payload["err_x"] = float(sum((a - b) ** 2 for a, b in zip(result.x_hat, x0)) ** 0.5)
     print(json.dumps(payload))
     return 0

@@ -43,15 +43,15 @@ def make_dictionary(kind, d, n, rng: RngStream | None = None, matrix=None) -> Di
 
     gaussian_unit_norm: iid standard normal entries with columns scaled to
     unit norm (rho = 1).  identity: d = n identity.  parseval_random: random
-    matrix with orthonormalized rows, so D D^T = I_d.  user_matrix: wrap the
-    provided matrix as-is.
+    matrix with orthonormalized rows, so D D^T = I_d.  user_matrix: a copy of
+    the provided matrix.
     """
     if kind not in KINDS:
         raise DomainError(f"unknown dictionary kind {kind!r}")
     if d < 1:
         raise DomainError("d must be at least 1")
     if kind == "user_matrix":
-        M = as_matrix(matrix)
+        M = as_matrix(matrix).copy()  # freeze a copy: the caller's array stays writable
         if M.shape != (d, n):
             raise DomainError(f"user matrix has shape {M.shape}, expected {(d, n)}")
     elif kind == "identity":
@@ -76,7 +76,7 @@ def make_dictionary(kind, d, n, rng: RngStream | None = None, matrix=None) -> Di
     return Dictionary(matrix=M, rho=rho, op_norm=operator_norm(M))
 
 
-def full_spark_check(D, det_tol: float = DET_TOL, budget: int = SPARK_BUDGET) -> bool:
+def full_spark_check(D, budget: int = SPARK_BUDGET) -> bool:
     """True iff every d x d column submatrix is invertible.
 
     The determinant threshold is relative to the product of the submatrix
@@ -102,5 +102,5 @@ def full_spark_check(D, det_tol: float = DET_TOL, budget: int = SPARK_BUDGET) ->
         sub = M[:, idx].transpose(1, 0, 2)  # (batch, d, d)
         dets = np.abs(np.linalg.det(sub))
         norm_prod = np.prod(col_norms[idx], axis=1)
-        if np.any(dets <= det_tol * norm_prod):
+        if np.any(dets <= DET_TOL * norm_prod):
             return False

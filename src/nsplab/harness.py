@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -64,6 +65,10 @@ class ExperimentConfig:
         if self.trials < 1:
             raise DomainError("trials must be at least 1")
         if self.m_grid:
+            if not all(
+                isinstance(m, numbers.Integral) and not isinstance(m, bool) for m in self.m_grid
+            ):
+                raise DomainError(f"m_grid entries must be integers, got {self.m_grid}")
             grid = tuple(int(m) for m in self.m_grid)
             if list(grid) != sorted(grid):
                 raise DomainError("m_grid must be ascending")
@@ -231,7 +236,7 @@ def run_width_compare(cfg: ExperimentConfig) -> str:
     for n in n_grid:
         rng_d = RngStream(cfg.seed, stable_stream_id("width_compare", "dict", n))
         D = make_dictionary(cfg.dict_kind, cfg.d, n, rng_d)
-        crude = crude_width_bound(D, n)
+        crude = crude_width_bound(D)
         for s, gamma in itertools.product(s_grid, gamma_grid):
             cone = ConeParams(gamma, s, n)
             mc = width_DS_gamma_mc(

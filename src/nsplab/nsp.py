@@ -41,8 +41,11 @@ from .numerics import RANK_TOL, as_matrix, as_vector, kernel_basis
 from .rng import RngStream
 from .simplex import LpProblem, solve_lp
 
-CERT_BUDGET = 10**6    # circuit candidates or LPs, whichever route runs
-_CIRCUIT_CHUNK = 64    # (k-1)-subsets per batched QR
+CERT_BUDGET = 10**6      # circuit candidates or LPs, whichever route runs
+_CIRCUIT_CHUNK = 64      # (k-1)-subsets per batched QR
+_ETA_STEP = 1e-2         # estimate_eta: first and largest gradient step
+_ETA_MAX_ITER = 10_000   # estimate_eta: gradient steps per restart
+_ETA_CONV_TOL = 1e-9     # estimate_eta: stop once a step moves x less than this
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,7 @@ def in_S_gamma(x, p: SgammaParams, tol: float = 1e-9) -> bool:
     return head >= p.gamma * tail - tol
 
 
-def _support_lp(N, T, signs, n, tol):
+def _support_lp(N, T, signs, n):
     """Maximize sum_{i in T} signs_i x_i over x = N c with ||x_{T^c}||_1 <= 1."""
     k = N.shape[1]
     Tc = [j for j in range(n) if j not in T]
@@ -125,7 +128,7 @@ def _support_lp(N, T, signs, n, tol):
     rhs[-1] = 1.0
     free = [True] * k + [False] * nt
     problem = LpProblem.build(obj, rows, rhs, ["<="] * (2 * nt + 1), free=free)
-    res = solve_lp(problem, tol=tol)
+    res = solve_lp(problem)
     if res.status != "optimal":
         raise LpSolveError(f"support LP for T = {T} ended with status {res.status}")
     return res.value, N @ res.x[:k]
@@ -172,7 +175,7 @@ def _certify_circuits(N, s):
     return best, T, best_x, evaluated
 
 
-def _certify_lp(N, s, tol):
+def _certify_lp(N, s):
     """gamma_star by one LP per support T and sign pattern on T.
 
     x -> -x maps each sign pattern onto its negation, so the first sign is
@@ -188,7 +191,7 @@ def _certify_lp(N, s, tol):
         if Z.shape[1] > 0:
             return math.inf, T, N @ Z[:, 0], evaluated
         for signs in itertools.product((1.0, -1.0), repeat=s - 1):
-            value, x = _support_lp(N, T, (1.0,) + signs, n, tol)
+            value, x = _support_lp(N, T, (1.0,) + signs, n)
             evaluated += 1
             if value > best:
                 best, best_T, best_x = value, T, x
@@ -200,7 +203,8 @@ def certify_nsp(A, s: int, tol: float = 1e-9, budget: int = CERT_BUDGET) -> NspC
 
     gamma_star is the supremum of ||x_T||_1 / ||x_{T^c}||_1 over nonzero
     kernel vectors and |T| = s; the verdict holds iff gamma_star < 1 - tol,
-    for a tol in (0, 1).
+    for a tol in (0, 1).  tol sets the verdict margin only: gamma_star does
+    not depend on it.
     The circuit route runs when its C(n, k-1) candidates fit the budget
     (k the kernel dimension), else the LP route when its C(n, s) 2^(s-1)
     LPs do; past both, BudgetExceededError.  The witness is a kernel vector
@@ -224,7 +228,7 @@ def certify_nsp(A, s: int, tol: float = 1e-9, budget: int = CERT_BUDGET) -> NspC
         gamma_star, T, witness, evaluated = _certify_circuits(N, s)
     elif lps <= budget:
         method = "lp"
-        gamma_star, T, witness, evaluated = _certify_lp(N, s, tol)
+        gamma_star, T, witness, evaluated = _certify_lp(N, s)
     else:
         raise BudgetExceededError(
             f"certification needs {circuits} circuit candidates or {lps} LPs, "
@@ -269,9 +273,6 @@ def estimate_eta(
     p: SgammaParams,
     restarts: int,
     rng: RngStream,
-    step: float = 1e-2,
-    max_iter: int = 10_000,
-    conv_tol: float = 1e-9,
 ) -> EtaEstimate:
     """Multistart projected gradient upper bound on inf ||D x||_2 over S_gamma.
 
@@ -302,8 +303,8 @@ def estimate_eta(
         if x is None:
             continue
         f = float(x @ G @ x)
-        eta_step = step
-        for _ in range(max_iter):
+        eta_step = _ETA_STEP
+        for _ in range(_ETA_MAX_ITER):
             grad = 2.0 * (G @ x)
             rgrad = grad - (grad @ x) * x  # tangent to the sphere
             moved = None
@@ -323,8 +324,8 @@ def estimate_eta(
             shift = float(np.linalg.norm(y - x))
             x, f = y, fy
             probes += 1
-            eta_step = min(eta_step * 1.5, step)
-            if shift < conv_tol:
+            eta_step = min(eta_step * 1.5, _ETA_STEP)
+            if shift < _ETA_CONV_TOL:
                 break
         val = math.sqrt(max(f, 0.0))
         if val < best_val:
@@ -333,7 +334,7 @@ def estimate_eta(
     return EtaEstimate(best_val, best_x, probes, restarts)
 
 
-def d_nsp_check(D: Dictionary, Phi, s: int, tol: float = 1e-9) -> DnspResult:
+def d_nsp_check(D: Dictionary, Phi, s: int) -> DnspResult:
     """Dictionary-route NSP check: for full spark D, the dictionary NSP of Phi
     is equivalent to the plain NSP of Phi @ D, which is what gets certified."""
     if not isinstance(D, Dictionary):
@@ -345,5 +346,5 @@ def d_nsp_check(D: Dictionary, Phi, s: int, tol: float = 1e-9) -> DnspResult:
         raise NotFullSparkError(
             "dictionary is not full spark; the equivalence route does not apply"
         )
-    cert = certify_nsp(P @ D.matrix, s, tol=tol)
+    cert = certify_nsp(P @ D.matrix, s)
     return DnspResult(cert.verdict, "full_spark_equivalence", cert)

@@ -1,7 +1,7 @@
 """Dense linear-algebra primitives shared by every other module.
 
-Everything operates on plain float64 numpy arrays.  All tolerances are
-explicit arguments with documented defaults; nothing reads global state.
+Everything operates on plain float64 numpy arrays.  Tolerances are module
+constants; nothing reads mutable global state.
 """
 
 from __future__ import annotations
@@ -53,10 +53,10 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(A, 2))
 
 
-def kernel_basis(a, tol: float = RANK_TOL) -> np.ndarray:
+def kernel_basis(a) -> np.ndarray:
     """Orthonormal basis (n x k columns) of the null space of A.
 
-    Rank is decided by singular values below tol times the largest one.
+    Rank is decided by singular values below RANK_TOL times the largest one.
     A trivial kernel yields an n x 0 matrix; a zero matrix yields the identity.
     """
     A = as_matrix(a)
@@ -67,7 +67,7 @@ def kernel_basis(a, tol: float = RANK_TOL) -> np.ndarray:
     if svals.size == 0 or svals[0] <= 0.0:
         rank = 0
     else:
-        rank = int(np.sum(svals > tol * svals[0]))
+        rank = int(np.sum(svals > RANK_TOL * svals[0]))
     return np.ascontiguousarray(vt[rank:].T)
 
 

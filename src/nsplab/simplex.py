@@ -17,6 +17,7 @@ from .errors import DomainError, LpSolveError
 from .numerics import as_matrix, as_vector
 
 _MAX_PIVOTS = 100_000
+LP_TOL = 1e-9        # pivot, ratio-test and feasibility tolerance
 
 
 @dataclass(frozen=True)
@@ -69,22 +70,22 @@ def _pivot(T, zrow, basis, r, c):
     basis[r] = c
 
 
-def _run_simplex(T, zrow, basis, allowed, tol):
+def _run_simplex(T, zrow, basis, allowed):
     """Pivot until optimal or unbounded.  Returns (status, pivots)."""
     pivots = 0
     m = T.shape[0]
     while True:
         entering = -1
         for j in allowed:  # Bland: smallest eligible index enters
-            if zrow[j] > tol:
+            if zrow[j] > LP_TOL:
                 entering = j
                 break
         if entering < 0:
             return "optimal", pivots
         # A pivot element must be large against its column too: one of 2e-9
-        # beside entries of 9e3 passes an absolute tol yet wrecks the tableau.
+        # beside entries of 9e3 passes an absolute LP_TOL yet wrecks the tableau.
         column = T[:, entering]
-        pivot_tol = tol * max(1.0, float(np.abs(column).max(initial=0.0)))
+        pivot_tol = LP_TOL * max(1.0, float(np.abs(column).max(initial=0.0)))
         best_ratio = None
         leave = -1
         for i in range(m):
@@ -93,8 +94,8 @@ def _run_simplex(T, zrow, basis, allowed, tol):
                 ratio = T[i, -1] / a
                 if (
                     best_ratio is None
-                    or ratio < best_ratio - tol
-                    or (abs(ratio - best_ratio) <= tol and basis[i] < basis[leave])
+                    or ratio < best_ratio - LP_TOL
+                    or (abs(ratio - best_ratio) <= LP_TOL and basis[i] < basis[leave])
                 ):
                     best_ratio = ratio
                     leave = i
@@ -106,10 +107,8 @@ def _run_simplex(T, zrow, basis, allowed, tol):
             raise LpSolveError(f"simplex exceeded the pivot budget of {_MAX_PIVOTS}")
 
 
-def solve_lp(problem: LpProblem, tol: float = 1e-9) -> LpResult:
-    """Solve an LpProblem; on 'optimal' the returned x is feasible within tol."""
-    if not (tol > 0.0):
-        raise DomainError("tol must be positive")
+def solve_lp(problem: LpProblem) -> LpResult:
+    """Solve an LpProblem; on 'optimal' the returned x is feasible within LP_TOL."""
     c0, b, senses = problem.objective, problem.rhs, problem.senses
     n0, m = c0.size, b.size
 
@@ -150,15 +149,15 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9) -> LpResult:
         for i in art_rows:
             zrow += T[i]
         allowed = range(art_start)  # artificials never re-enter
-        status, piv = _run_simplex(T, zrow, basis, allowed, tol)
+        status, piv = _run_simplex(T, zrow, basis, allowed)
         iterations += piv
-        if status != "optimal" or -zrow[-1] < -tol:
+        if status != "optimal" or -zrow[-1] < -LP_TOL:
             return LpResult("infeasible", None, None, iterations)
         # Drive leftover artificials out of the basis; drop redundant rows.
         keep = []
         for i in range(m):
             if basis[i] >= art_start:
-                nonzero = np.flatnonzero(np.abs(T[i, :art_start]) > tol)
+                nonzero = np.flatnonzero(np.abs(T[i, :art_start]) > LP_TOL)
                 if nonzero.size == 0:
                     continue  # redundant row
                 _pivot(T, zrow, basis, i, int(nonzero[0]))
@@ -176,7 +175,7 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9) -> LpResult:
         cb = cost[basis[i]]
         if cb != 0.0:
             zrow -= cb * T[i]
-    status, piv = _run_simplex(T, zrow, basis, range(width), tol)
+    status, piv = _run_simplex(T, zrow, basis, range(width))
     iterations += piv
     if status == "unbounded":
         return LpResult("unbounded", None, None, iterations)

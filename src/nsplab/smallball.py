@@ -195,6 +195,8 @@ def estimate_W(
     if m < 1:
         raise DomainError("m must be at least 1")
     M = D.matrix if isinstance(D, Dictionary) else as_matrix(D)
+    if c.n != M.shape[1]:
+        raise DomainError(f"cone has n = {c.n}, dictionary has {M.shape[1]} columns")
     d = M.shape[0]
     vals = []
     done = 0

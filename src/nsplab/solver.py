@@ -18,6 +18,8 @@ from .errors import DomainError
 from .numerics import as_matrix, as_vector
 from .simplex import LpProblem, solve_lp
 
+_BOUND_SLACK = 1e-6  # evaluate_recovery: absolute slack on both error bounds
+
 
 @dataclass(frozen=True)
 class RecoveryProblem:
@@ -76,10 +78,11 @@ def best_s_term_error(x, s: int) -> float:
     return float(np.sort(v)[: v.size - s].sum())
 
 
-def solve_bp_lp(B, y, tol: float = 1e-9) -> RecoveryResult:
+def solve_bp_lp(B, y) -> RecoveryResult:
     """Noiseless basis pursuit by exact LP: split x = x+ - x-, minimize the sum.
 
-    Reports infeasible when y is not in the range of B (within tol).
+    Reports infeasible when y is not in the range of B (within the simplex
+    tolerance LP_TOL).
     """
     Bm = as_matrix(B)
     yv = as_vector(y)
@@ -87,7 +90,7 @@ def solve_bp_lp(B, y, tol: float = 1e-9) -> RecoveryResult:
     objective = -np.ones(2 * n)  # maximize the negated l1 mass
     constraints = np.hstack([Bm, -Bm])
     problem = LpProblem.build(objective, constraints, yv, ["="] * m)
-    res = solve_lp(problem, tol=tol)
+    res = solve_lp(problem)
     if res.status != "optimal":
         return RecoveryResult(None, None, None, res.iterations, "infeasible")
     x = res.x[:n] - res.x[n:]
@@ -220,7 +223,7 @@ class RecoveryReport:
 
 
 def evaluate_recovery(
-    x0, result: RecoveryResult, D: Dictionary, b: RecoveryBoundInputs, slack: float = 1e-6
+    x0, result: RecoveryResult, D: Dictionary, b: RecoveryBoundInputs
 ) -> RecoveryReport:
     """Compare achieved errors against the certified worst-case bounds.
 
@@ -243,8 +246,8 @@ def evaluate_recovery(
         sigma_s=sigma_s,
         coefficient_bound=coeff_bound,
         signal_bound=signal_bound,
-        ok_x=err_x <= coeff_bound + slack,
-        ok_z=err_z <= signal_bound + slack,
+        ok_x=err_x <= coeff_bound + _BOUND_SLACK,
+        ok_z=err_z <= signal_bound + _BOUND_SLACK,
     )
 
 

@@ -147,6 +147,8 @@ def width_DS_gamma_mc(D, c: ConeParams, samples: int, rng: RngStream) -> WidthEs
     if samples < 100:
         raise DomainError("need at least 100 samples")
     M = D.matrix if isinstance(D, Dictionary) else as_matrix(D)
+    if c.n != M.shape[1]:
+        raise DomainError(f"cone has n = {c.n}, dictionary has {M.shape[1]} columns")
     rho = D.rho if isinstance(D, Dictionary) else float(np.max(np.sum(M**2, axis=0)))
     vals = []
     done = 0
@@ -170,8 +172,9 @@ def theory_width_bound(c: ConeParams, rho: float) -> float:
     return 6.0 / c.gamma * math.sqrt(c.s * rho * math.log(arg))
 
 
-def crude_width_bound(D, n: int) -> float:
-    """Operator-norm bound 2 ||D||_2 w(B_2^{n-1}): simple but carries sqrt(n)."""
+def crude_width_bound(D) -> float:
+    """Operator-norm bound 2 ||D||_2 w(B_2^{n-1}), n = D's column count: simple
+    but carries sqrt(n)."""
     M = D.matrix if isinstance(D, Dictionary) else as_matrix(D)
     opn = D.op_norm if isinstance(D, Dictionary) else operator_norm(M)
-    return 2.0 * opn * unit_ball_width(n)
+    return 2.0 * opn * unit_ball_width(M.shape[1])

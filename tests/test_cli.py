@@ -36,7 +36,7 @@ def test_nsp_check_lp_failure_exits_1(tmp_path, capsys, monkeypatch, failure):
     if failure == "pivot_budget":
         monkeypatch.setattr(simplex, "_MAX_PIVOTS", 0)
     else:
-        monkeypatch.setattr(nsp, "solve_lp", lambda problem, tol: LpResult("unbounded", None, None, 0))
+        monkeypatch.setattr(nsp, "solve_lp", lambda problem: LpResult("unbounded", None, None, 0))
     code, out, err = run_cli(capsys, "nsp-check", "--A", str(path), "--s", "1")
     assert code == 1
     assert out == ""
@@ -106,6 +106,21 @@ def test_recover_roundtrip(tmp_path, capsys):
     assert payload["status"] == "converged"
     assert np.allclose(payload["x_hat"], y, atol=1e-6)
     assert payload["err_x"] < 1e-6
+
+
+def test_recover_x0_length_mismatch_exits_1(tmp_path, capsys):
+    # zip would pair only the first 4 entries and report err_x 0.0
+    y = np.arange(10.0)
+    write_matrix_text(tmp_path / "B.txt", np.eye(10))
+    write_vector_text(tmp_path / "y.txt", y)
+    write_vector_text(tmp_path / "x0.txt", y[:4])
+    code, out, err = run_cli(
+        capsys, "recover", "--B", str(tmp_path / "B.txt"), "--y", str(tmp_path / "y.txt"),
+        "--method", "lp", "--x0", str(tmp_path / "x0.txt"),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: x0 has 4 entries") and "Traceback" not in err
 
 
 def test_recover_signal_from_dictionary(tmp_path, capsys):

@@ -57,6 +57,8 @@ def test_invariants_under_column_permutation():
     rng = RngStream(4)
     M = rng.normal((3, 7)) * 1.7
     D = make_dictionary("user_matrix", 3, 7, matrix=M)
+    # the dictionary freezes a copy and leaves the caller's array writable
+    assert M.flags.writeable and D.matrix is not M and not D.matrix.flags.writeable
     perm = rng.permutation(7)
     Dp = make_dictionary("user_matrix", 3, 7, matrix=M[:, perm])
     assert Dp.rho == pytest.approx(D.rho, rel=1e-12)

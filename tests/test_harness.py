@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from nsplab.errors import DomainError, NspRequiredError
@@ -57,6 +58,11 @@ class TestConfig:
     def test_rejects_unsorted_m_grid(self):
         with pytest.raises(DomainError):
             preserve_cfg(m_grid=(6, 3))
+
+    def test_rejects_non_integer_m_grid(self):
+        with pytest.raises(DomainError, match="integers"):
+            preserve_cfg(m_grid=(3.5, 4.9))
+        assert preserve_cfg(m_grid=(np.int64(3), np.int64(6))).m_grid == (3, 6)
 
     def test_rejects_unknown_experiment(self):
         with pytest.raises(DomainError):

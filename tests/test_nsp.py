@@ -148,7 +148,7 @@ class TestCertify:
 
 
 def lp_gamma_star(A, s):
-    return _certify_lp(kernel_basis(np.asarray(A, float)), s, 1e-9)[0]
+    return _certify_lp(kernel_basis(np.asarray(A, float)), s)[0]
 
 
 def assert_same_gamma(got, want):
@@ -210,7 +210,10 @@ class TestCircuitsVsLp:
         for s, lps in ((1, 8), (2, 56)):
             circ = certify_nsp(A, s)
             assert circ.method == "circuits" and circ.evaluated == 70
-            lp = certify_nsp(A, s, budget=lps)
+            # tol is the verdict margin only: it must not steer the support LPs
+            by_tol = [certify_nsp(A, s, tol=tol, budget=lps) for tol in (1e-9, 0.1, 0.3)]
+            assert len({c.gamma_star for c in by_tol}) == 1
+            lp = by_tol[0]
             assert lp.method == "lp" and lp.evaluated == lps
             assert lp.gamma_star == pytest.approx(circ.gamma_star, abs=1e-9)
             assert lp.verdict == circ.verdict

@@ -187,6 +187,8 @@ class TestEstimateW:
         D = make_dictionary("user_matrix", 3, 6, matrix=np.zeros((3, 6)))
         est = estimate_W(spec, D, ConeParams(0.5, 1, 6), 4, 500, RngStream(73))
         assert est.mean == 0.0
+        with pytest.raises(DomainError, match="cone has n = 5, dictionary has 6 columns"):
+            estimate_W(spec, D, ConeParams(0.5, 1, 5), 4, 500, RngStream(73))
 
     def test_gaussian_rows_match_plain_width(self):
         # standard Gaussian rows: the signed average is again standard normal,

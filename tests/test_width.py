@@ -143,6 +143,8 @@ class TestWidthEstimators:
         D = make_dictionary("identity", 2, 2)
         with pytest.raises(DomainError):
             width_DS_gamma_mc(D, ConeParams(1.0, 1, 2), 50, RngStream(0))
+        with pytest.raises(DomainError, match="cone has n = 3, dictionary has 2 columns"):
+            width_DS_gamma_mc(D, ConeParams(1.0, 1, 3), 100, RngStream(0))
 
     def test_dual_zero_vector(self):
         c = ConeParams(0.5, 1, 4)
@@ -211,11 +213,14 @@ class TestTheoryBounds:
 
     def test_crude_bound(self):
         D = make_dictionary("identity", 2, 2)
-        assert crude_width_bound(D, 2) == pytest.approx(2.0 * unit_ball_width(2), rel=1e-10)
+        assert crude_width_bound(D) == pytest.approx(2.0 * unit_ball_width(2), rel=1e-10)
         D0 = make_dictionary("user_matrix", 2, 2, matrix=np.zeros((2, 2)))
-        assert crude_width_bound(D0, 2) == 0.0
+        assert crude_width_bound(D0) == 0.0
         D3 = make_dictionary("user_matrix", 2, 2, matrix=3.0 * np.eye(2))
-        assert crude_width_bound(D3, 2) == pytest.approx(6.0 * unit_ball_width(2), rel=1e-8)
+        assert crude_width_bound(D3) == pytest.approx(6.0 * unit_ball_width(2), rel=1e-8)
+        # n is the dictionary's column count, not d
+        G = make_dictionary("gaussian_unit_norm", 10, 14, RngStream(0))
+        assert crude_width_bound(G) == pytest.approx(2.0 * G.op_norm * unit_ball_width(14), rel=1e-12)
 
 
 class TestSoftMoment:
