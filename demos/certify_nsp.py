@@ -38,18 +38,19 @@ D = make_dictionary("gaussian_unit_norm", d=10, n=14, rng=rng.substream("dict"))
 cert = certify_nsp(D.matrix, s=1)
 print(f"10 x 14 unit-norm dictionary: gamma_star = {cert.gamma_star:.4f} ({cert.verdict})")
 print(f"route {cert.method!r}, {cert.evaluated} circuit candidates evaluated")
-print(f"rho = {D.rho:.3f}, operator norm = {D.op_norm:.3f}, full spark = {full_spark_check(D)}")
+print(f"rho = {D.rho:.3f}, operator norm = {D.op_norm:.3f}, full spark = {full_spark_check(D.matrix)}")
 
 print("\n== the equivalent lower-bound form ==")
 # holding the NSP is the same as ||D x||_2 staying away from zero on the
 # set of unit vectors that violate the mass inequality at level gamma
 gamma = 0.5 * (cert.gamma_star + 1.0)
-eta = estimate_eta(D, SgammaParams(gamma, 1), restarts=20, rng=rng.substream("eta"))
+eta = estimate_eta(D.matrix, SgammaParams(gamma, 1), restarts=20, rng=rng.substream("eta"))
 print(f"at gamma = {gamma:.4f}: estimated inf ||D x||_2 over the violating set")
 print(f"  eta_upper = {eta.eta_upper:.4f}  ({eta.restarts} restarts, {eta.probes} steps)")
 
 print("\n== dictionary-route check for a sensing map ==")
 phi = rng.substream("phi").normal((8, 10))
-res = d_nsp_check(D, phi, s=1)
-print(f"composition verdict = {res.verdict} (route: {res.route})")
-print(f"composition gamma_star = {res.certificate.gamma_star:.4f}")
+# D is full spark, so the NSP of phi with respect to D is the NSP of phi @ D
+comp = d_nsp_check(D.matrix, phi, s=1)
+print(f"composition verdict = {comp.verdict}")
+print(f"composition gamma_star = {comp.gamma_star:.4f}, tightest at {comp.witness_support}")

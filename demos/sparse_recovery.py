@@ -50,7 +50,7 @@ eps = 0.05
 y_noisy = y + eps * rng.substream("noise").unit_vector(9)
 res = solve_l1_synthesis(RecoveryProblem(B, y_noisy, eps))
 report = evaluate_recovery(
-    x0, res, D, RecoveryBoundInputs(gamma, eta.eta_upper, eps, C=1.0, sigma=1.0, s=1)
+    x0, res, D.matrix, RecoveryBoundInputs(gamma, eta.eta_upper, eps, C=1.0, sigma=1.0, s=1)
 )
 print(f"eps = {eps}: coefficient error {report.err_x:.4f} "
       f"<= bound {report.coefficient_bound:.4f}")

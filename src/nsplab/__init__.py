@@ -25,7 +25,6 @@ from .harness import (
     run_width_compare,
 )
 from .nsp import (
-    DnspResult,
     EtaEstimate,
     NspCertificate,
     SgammaParams,
@@ -69,7 +68,6 @@ from .solver import (
 )
 from .subgaussian import SubgaussianSpec, make_spec, sample_measurement_matrix
 from .width import (
-    ConeParams,
     WidthEstimate,
     crude_width_bound,
     theory_width_bound,

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -74,7 +75,7 @@ def _cmd_experiment(args) -> int:
     if cfg.experiment != expected:
         raise NsplabError(f"config is for {cfg.experiment!r}, this command runs {expected!r}")
     if args.seed is not None:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "seed": args.seed})
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     text = run_experiment(cfg)
     if not args.quiet:
         sys.stdout.write(text)

@@ -1,8 +1,9 @@
 """Dictionary construction and analysis.
 
-A dictionary is a d x n matrix of column atoms with cached column-norm bound
-rho = max_i ||d_i||_2^2 and operator norm.  full_spark_check decides whether
-every d columns are linearly independent.
+A dictionary is a d x n matrix of column atoms.  make_dictionary returns it
+with its column-norm bound rho = max_i ||d_i||_2^2 and operator norm cached;
+every other function takes the matrix itself.  full_spark_check decides
+whether every d columns are linearly independent.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
-from .numerics import as_matrix, operator_norm
+from .numerics import as_matrix, column_norm_bound, operator_norm
 from .rng import RngStream
 
 DET_TOL = 1e-10          # relative to the column-norm product: scale invariant
@@ -72,17 +73,16 @@ def make_dictionary(kind, d, n, rng: RngStream | None = None, matrix=None) -> Di
             M = q.T
     M = np.ascontiguousarray(M)
     M.flags.writeable = False
-    rho = float(np.max(np.sum(M * M, axis=0))) if M.size else 0.0
-    return Dictionary(matrix=M, rho=rho, op_norm=operator_norm(M))
+    return Dictionary(matrix=M, rho=column_norm_bound(M), op_norm=operator_norm(M))
 
 
 def full_spark_check(D, budget: int = SPARK_BUDGET) -> bool:
-    """True iff every d x d column submatrix is invertible.
+    """True iff every d x d column submatrix of the matrix D is invertible.
 
     The determinant threshold is relative to the product of the submatrix
     column norms, so the verdict only depends on column directions.
     """
-    M = D.matrix if isinstance(D, Dictionary) else as_matrix(D)
+    M = as_matrix(D)
     d, n = M.shape
     if n < d:
         raise DomainError("full spark needs at least d columns")

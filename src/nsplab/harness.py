@@ -10,6 +10,9 @@ Every (experiment, m, trial) tuple gets its own RngStream keyed by a stable
 hash, so trial results do not depend on execution order and identical
 configs reproduce byte-identical CSV (modulo the timestamp header line).
 Campaigns run serially, task by task in (m, trial) order.
+
+ExperimentConfig checks every field when it is constructed, so a config built
+in Python and one read by from_json pass the same checks.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -32,7 +35,7 @@ from .rng import RngStream, stable_stream_id
 from .smallball import BoundInputs, bounds_table
 from .solver import RecoveryProblem, solve_l1_synthesis
 from .subgaussian import condition_number, make_spec, sample_measurement_matrix
-from .width import ConeParams, crude_width_bound, width_DS_gamma_mc
+from .width import crude_width_bound, width_DS_gamma_mc
 
 EXPERIMENTS = ("preserve_nsp", "phase_transition", "width_compare", "bounds_table")
 
@@ -60,63 +63,56 @@ class ExperimentConfig:
     gamma_grid: tuple | None = None
 
     def __post_init__(self):
+        """Check every field against its annotation, then its domain.
+
+        The rules are those of a JSON config: bools are not numbers, every
+        grid but gamma_grid holds integers, and None is accepted only where
+        the annotation allows it (e.g. "float | None").  Grids become tuples,
+        of ints where they hold integers.
+        """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, _, null = f.type.partition(" | ")
+            if value is None and null:
+                continue
+            if kind == "tuple":
+                kind = "float" if f.name == "gamma_grid" else "int"
+                ok = isinstance(value, (tuple, list)) and all(_FITS[kind](v) for v in value)
+                want = "a list of " + ("numbers" if kind == "float" else "integers")
+                if ok:
+                    grid = tuple(map(int, value)) if kind == "int" else tuple(value)
+                    object.__setattr__(self, f.name, grid)
+            else:
+                ok = _FITS[kind](value)
+                want = {"int": "an integer", "float": "a number", "str": "a string"}[kind]
+            if not ok:
+                want += " or null" if null else ""
+                raise DomainError(f"config key {f.name!r} must be {want}, got {value!r}")
         if self.experiment not in EXPERIMENTS:
             raise DomainError(f"unknown experiment {self.experiment!r}")
         if self.trials < 1:
             raise DomainError("trials must be at least 1")
-        if self.m_grid:
-            if not all(
-                isinstance(m, numbers.Integral) and not isinstance(m, bool) for m in self.m_grid
-            ):
-                raise DomainError(f"m_grid entries must be integers, got {self.m_grid}")
-            grid = tuple(int(m) for m in self.m_grid)
-            if list(grid) != sorted(grid):
-                raise DomainError("m_grid must be ascending")
-            object.__setattr__(self, "m_grid", grid)
+        if list(self.m_grid) != sorted(self.m_grid):
+            raise DomainError("m_grid must be ascending")
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
         raw = json.loads(Path(path).read_text())
         if not isinstance(raw, dict):
             raise DomainError("config must be a JSON object")
-        fields = ExperimentConfig.__dataclass_fields__
-        unknown = set(raw) - set(fields)
+        unknown = set(raw) - set(ExperimentConfig.__dataclass_fields__)
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in raw.items():
-            _check_json_value(key, value, fields[key].type)
-        for key in ("m_grid", "n_grid", "s_grid", "gamma_grid"):
-            if raw.get(key) is not None:
-                raw[key] = tuple(raw[key])
         return ExperimentConfig(**raw)
 
 
-# Annotation of a config field -> (test of a JSON value, what it asks for).
-# bool is a subclass of int in Python, but a JSON true is not a number.
-_JSON_KINDS = {
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
-    "str": (lambda v: isinstance(v, str), "a string"),
+# Type test per annotation.  bool is a subclass of int in Python, but a JSON
+# true is not a number.
+_FITS = {
+    "int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
 }
-
-
-def _check_json_value(key: str, value, kind: str) -> None:
-    """Refuse a JSON value that does not fit its field's annotation, e.g. "float | None"."""
-    nullable = kind.endswith("| None")
-    if value is None and nullable:
-        return
-    base = kind.split(" |")[0]
-    if base == "tuple":  # a grid: of integers, except gamma_grid
-        integers = key != "gamma_grid"
-        fits, _ = _JSON_KINDS["int" if integers else "float"]
-        ok = isinstance(value, list) and all(fits(v) for v in value)
-        want = "a list of " + ("integers" if integers else "numbers")
-    else:
-        fits, want = _JSON_KINDS[base]
-        ok = fits(value)
-    if not ok:
-        null = " or null" if nullable else ""
-        raise DomainError(f"config key {key!r} must be {want}{null}, got {value!r}")
 
 
 def _fmt(v) -> str:
@@ -236,12 +232,10 @@ def run_width_compare(cfg: ExperimentConfig) -> str:
     for n in n_grid:
         rng_d = RngStream(cfg.seed, stable_stream_id("width_compare", "dict", n))
         D = make_dictionary(cfg.dict_kind, cfg.d, n, rng_d)
-        crude = crude_width_bound(D)
+        crude = crude_width_bound(D.matrix)
         for s, gamma in itertools.product(s_grid, gamma_grid):
-            cone = ConeParams(gamma, s, n)
-            mc = width_DS_gamma_mc(
-                D, cone, samples, RngStream(cfg.seed, stable_stream_id("width_compare", n, s, gamma))
-            )
+            rng = RngStream(cfg.seed, stable_stream_id("width_compare", n, s, gamma))
+            mc = width_DS_gamma_mc(D.matrix, SgammaParams(gamma, s), samples, rng)
             rows.append(
                 [
                     n,
@@ -280,18 +274,14 @@ def run_bounds_table(cfg: ExperimentConfig) -> str:
     """
     D = _build_dictionary(cfg, "dictionary")
     spec = _build_spec(cfg, cfg.d)
+    p = SgammaParams(cfg.gamma, cfg.s)
     eta = estimate_eta(
-        D,
-        SgammaParams(cfg.gamma, cfg.s),
-        cfg.eta_restarts,
-        RngStream(cfg.seed, stable_stream_id("bounds_table", "eta")),
+        D.matrix, p, cfg.eta_restarts, RngStream(cfg.seed, stable_stream_id("bounds_table", "eta"))
     )
     if not (eta.eta_upper > 0.0):
         raise NspRequiredError("estimated eta is zero: the dictionary fails the NSP")
-    cone = ConeParams(cfg.gamma, cfg.s, cfg.n)
-    width = width_DS_gamma_mc(
-        D, cone, max(cfg.trials, 100), RngStream(cfg.seed, stable_stream_id("bounds_table", "width"))
-    )
+    rng = RngStream(cfg.seed, stable_stream_id("bounds_table", "width"))
+    width = width_DS_gamma_mc(D.matrix, p, max(cfg.trials, 100), rng)
     b = BoundInputs(
         eta=eta.eta_upper,
         gamma=cfg.gamma,

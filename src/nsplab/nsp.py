@@ -31,11 +31,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .dictionary import Dictionary, full_spark_check
+from .dictionary import full_spark_check
 from .errors import BudgetExceededError, DomainError, LpSolveError, NotFullSparkError
 from .numerics import RANK_TOL, as_matrix, as_vector, kernel_basis
 from .rng import RngStream
@@ -50,7 +49,11 @@ _ETA_CONV_TOL = 1e-9     # estimate_eta: stop once a step moves x less than this
 
 @dataclass(frozen=True)
 class SgammaParams:
-    """Parameters (gamma, s) of the violating set S_gamma."""
+    """Parameters (gamma, s) of the violating set S_gamma.
+
+    n is not a parameter: it is the column count of the matrix, or the length
+    of the rows, that the set is used with.
+    """
 
     gamma: float
     s: int
@@ -87,12 +90,6 @@ class EtaEstimate:
     witness: np.ndarray
     probes: int
     restarts: int
-
-
-class DnspResult(NamedTuple):
-    verdict: str
-    route: str
-    certificate: NspCertificate
 
 
 def in_S_gamma(x, p: SgammaParams, tol: float = 1e-9) -> bool:
@@ -274,7 +271,8 @@ def estimate_eta(
     restarts: int,
     rng: RngStream,
 ) -> EtaEstimate:
-    """Multistart projected gradient upper bound on inf ||D x||_2 over S_gamma.
+    """Multistart projected gradient upper bound on inf ||D x||_2 over S_gamma,
+    for a d x n matrix D.
 
     Each restart fixes a random support T of size s and minimizes ||D x||_2^2
     on the unit sphere intersected with {||x_T||_1 >= gamma ||x_{T^c}||_1},
@@ -283,7 +281,7 @@ def estimate_eta(
     """
     if restarts < 1:
         raise DomainError("restarts must be at least 1")
-    M = D.matrix if isinstance(D, Dictionary) else as_matrix(D)
+    M = as_matrix(D)
     n = M.shape[1]
     if p.s > n:
         raise DomainError(f"s = {p.s} exceeds the dictionary width {n}")
@@ -334,17 +332,15 @@ def estimate_eta(
     return EtaEstimate(best_val, best_x, probes, restarts)
 
 
-def d_nsp_check(D: Dictionary, Phi, s: int) -> DnspResult:
-    """Dictionary-route NSP check: for full spark D, the dictionary NSP of Phi
-    is equivalent to the plain NSP of Phi @ D, which is what gets certified."""
-    if not isinstance(D, Dictionary):
-        raise DomainError("d_nsp_check needs a Dictionary")
+def d_nsp_check(D, Phi, s: int) -> NspCertificate:
+    """NSP of Phi with respect to the dictionary matrix D: for full spark D it
+    is equivalent to the plain NSP of Phi @ D, whose certificate is returned."""
+    M = as_matrix(D)
     P = as_matrix(Phi)
-    if P.shape[1] != D.d:
-        raise DomainError(f"Phi has {P.shape[1]} columns, dictionary lives in R^{D.d}")
-    if not full_spark_check(D):
+    if P.shape[1] != M.shape[0]:
+        raise DomainError(f"Phi has {P.shape[1]} columns, dictionary lives in R^{M.shape[0]}")
+    if not full_spark_check(M):
         raise NotFullSparkError(
             "dictionary is not full spark; the equivalence route does not apply"
         )
-    cert = certify_nsp(P @ D.matrix, s)
-    return DnspResult(cert.verdict, "full_spark_equivalence", cert)
+    return certify_nsp(P @ M, s)

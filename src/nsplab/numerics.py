@@ -53,6 +53,12 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(A, 2))
 
 
+def column_norm_bound(a) -> float:
+    """rho = max_i ||a_i||_2^2 over the columns of A (0 for an empty matrix)."""
+    A = as_matrix(a)
+    return float(np.max(np.sum(A * A, axis=0))) if A.size else 0.0
+
+
 def kernel_basis(a) -> np.ndarray:
     """Orthonormal basis (n x k columns) of the null space of A.
 

@@ -27,13 +27,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dictionary import Dictionary
 from .errors import DomainError
 from .nsp import SgammaParams, in_S_gamma
 from .numerics import as_matrix
 from .rng import RngStream
 from .subgaussian import SubgaussianSpec, sample_measurement_matrix
-from .width import ConeParams, WidthEstimate, cone_projection_values
+from .width import WidthEstimate, cone_projection_values
 
 FORMULA_IDS = ("thm_S", "thm_main", "cor_non", "cor_sgauss", "thm_main_gauss")
 
@@ -156,7 +155,7 @@ def estimate_Q(
     samples: int,
     rng: RngStream,
 ) -> float:
-    """Empirical marginal small-ball probability.
+    """Empirical marginal small-ball probability for a dictionary matrix D.
 
     For each probe x the frequency of |<D x, phi>| >= xi is estimated on a
     shared batch of rows; the minimum over probes is returned.  Probes are a
@@ -165,7 +164,7 @@ def estimate_Q(
     """
     if xi < 0.0:
         raise DomainError("xi must be nonnegative")
-    M = D.matrix if isinstance(D, Dictionary) else as_matrix(D)
+    M = as_matrix(D)
     X = np.column_stack([np.asarray(x, dtype=float) for x in probes])
     for i in range(X.shape[1]):
         if not in_S_gamma(X[:, i], p, tol=1e-8):
@@ -184,19 +183,17 @@ def estimate_Q(
 def estimate_W(
     spec: SubgaussianSpec,
     D,
-    c: ConeParams,
+    p: SgammaParams,
     m: int,
     samples: int,
     rng: RngStream,
 ) -> WidthEstimate:
-    """Empirical mean width: per sample draw m rows f_i = D^T phi_i and signs
-    eps_i, form h = m^{-1/2} sum eps_i f_i, and take the supremum over
-    S_gamma by the cone projection of h D."""
+    """Empirical mean width for a d x n dictionary matrix D: per sample draw
+    m rows f_i = D^T phi_i and signs eps_i, form h = m^{-1/2} sum eps_i f_i,
+    and take the supremum over S_gamma by the cone projection of h D."""
     if m < 1:
         raise DomainError("m must be at least 1")
-    M = D.matrix if isinstance(D, Dictionary) else as_matrix(D)
-    if c.n != M.shape[1]:
-        raise DomainError(f"cone has n = {c.n}, dictionary has {M.shape[1]} columns")
+    M = as_matrix(D)
     d = M.shape[0]
     vals = []
     done = 0
@@ -206,7 +203,7 @@ def estimate_W(
         phi = sample_measurement_matrix(spec, block * m, d, rng).reshape(block, m, d)
         eps = rng.signs((block, m))
         h = np.einsum("bm,bmd->bd", eps, phi) / math.sqrt(m)
-        vals.append(cone_projection_values(h @ M, c))
+        vals.append(cone_projection_values(h @ M, p))
         done += block
     v = np.concatenate(vals)
     se = float(v.std(ddof=1) / math.sqrt(v.size)) if v.size > 1 else 0.0
@@ -234,6 +231,6 @@ def bounds_table(b: BoundInputs, width: float | None = None, m: int | None = Non
             at = int(math.ceil(mm))
         prob = None
         if rate is not None and at is not None and at >= 1:
-            prob = 1.0 - math.exp(-at * rate)
+            prob = success_probability(fid, b, at)
         rows.append({"formula_id": fid, "m_min": mm, "rate": rate, "prob_at_m": prob})
     return rows

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import Dictionary
 from .errors import DomainError
-from .numerics import as_matrix, as_vector
+from .numerics import as_matrix, as_vector, operator_norm
 from .simplex import LpProblem, solve_lp
 
 _BOUND_SLACK = 1e-6  # evaluate_recovery: absolute slack on both error bounds
@@ -222,14 +221,14 @@ class RecoveryReport:
     ok_z: bool
 
 
-def evaluate_recovery(
-    x0, result: RecoveryResult, D: Dictionary, b: RecoveryBoundInputs
-) -> RecoveryReport:
-    """Compare achieved errors against the certified worst-case bounds.
+def evaluate_recovery(x0, result: RecoveryResult, D, b: RecoveryBoundInputs) -> RecoveryReport:
+    """Compare achieved errors against the certified worst-case bounds, for a
+    dictionary matrix D.
 
     coefficient bound: (2 gamma + 2)/(1 - gamma) sigma_s(x0) + 2 eps / (C sigma eta);
     signal bound: ||D||_2 times the coefficient bound.
     """
+    M = as_matrix(D)
     x0v = as_vector(x0)
     if result.x_hat is None:
         raise DomainError("recovery result carries no solution")
@@ -237,9 +236,9 @@ def evaluate_recovery(
     coeff_bound = (2.0 * b.gamma + 2.0) / (1.0 - b.gamma) * sigma_s + 2.0 * b.eps / (
         b.C * b.sigma * b.eta
     )
-    signal_bound = D.op_norm * coeff_bound
+    signal_bound = operator_norm(M) * coeff_bound
     err_x = float(np.linalg.norm(result.x_hat - x0v))
-    err_z = float(np.linalg.norm(D.matrix @ (result.x_hat - x0v)))
+    err_z = float(np.linalg.norm(M @ (result.x_hat - x0v)))
     return RecoveryReport(
         err_x=err_x,
         err_z=err_z,

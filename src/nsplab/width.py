@@ -15,6 +15,9 @@ the rearrangement has already sorted (see _cone_multiplier).  By Moreau
 decomposition the same number is the distance from h* to the polar cone,
 the one-dimensional "dual" minimum, so one route serves both.  Closed-form
 bounds cover the quantity deterministically.
+
+The set's parameters are an SgammaParams(gamma, s); n is read from the rows,
+and the dictionary D is passed as its d x n matrix.
 """
 
 from __future__ import annotations
@@ -24,32 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import Dictionary
 from .errors import DomainError
-from .numerics import as_matrix, nonincreasing_rearrangement, operator_norm
+from .nsp import SgammaParams
+from .numerics import as_matrix, column_norm_bound, nonincreasing_rearrangement, operator_norm
 from .rng import RngStream
 
 _MC_BLOCK = 20_000
-
-
-@dataclass(frozen=True)
-class ConeParams:
-    """Cone K_{gamma,s} inside R^n."""
-
-    gamma: float
-    s: int
-    n: int
-
-    def __post_init__(self):
-        if not (0.0 < self.gamma <= 1.0):
-            raise DomainError(f"gamma must lie in (0, 1], got {self.gamma}")
-        if not (1 <= self.s <= self.n):
-            raise DomainError(f"need 1 <= s <= n, got s={self.s}, n={self.n}")
-
-    def halfspace_normal(self) -> np.ndarray:
-        a = np.full(self.n, -self.gamma)
-        a[: self.s] = 1.0
-        return a
 
 
 @dataclass(frozen=True)
@@ -60,15 +43,6 @@ class WidthEstimate:
     estimator: str           # cone_projection_exact | empirical_width
     theory_bound: float | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "samples": self.samples,
-            "estimator": self.estimator,
-            "theory_bound": self.theory_bound,
-        }
-
 
 def unit_ball_width(n: int) -> float:
     """E ||g||_2 = sqrt(2) Gamma((n+1)/2) / Gamma(n/2)."""
@@ -77,7 +51,7 @@ def unit_ball_width(n: int) -> float:
     return math.sqrt(2.0) * math.exp(math.lgamma((n + 1) / 2.0) - math.lgamma(n / 2.0))
 
 
-def _cone_multiplier(H: np.ndarray, c: ConeParams) -> np.ndarray:
+def _cone_multiplier(H: np.ndarray, p: SgammaParams) -> np.ndarray:
     """Per-row KKT multiplier lam* >= 0 with P_K h = max(h + lam* a, 0).
 
     Each row h must be a rearrangement: nonnegative and nonincreasing.
@@ -110,7 +84,7 @@ def _cone_multiplier(H: np.ndarray, c: ConeParams) -> np.ndarray:
     over q and reuses one (rows, n-s+1) buffer, which keeps memory linear in n
     and the peak flat while the caller still holds its raw rows.
     """
-    s, n, gamma = c.s, c.n, c.gamma
+    s, n, gamma = p.s, H.shape[1], p.gamma
     if s == n:
         return np.zeros(H.shape[0])
     zero = np.zeros((H.shape[0], 1))
@@ -126,15 +100,21 @@ def _cone_multiplier(H: np.ndarray, c: ConeParams) -> np.ndarray:
     return np.maximum(lam, 0.0)
 
 
-def project_cone_batch(Hstar, c: ConeParams) -> np.ndarray:
-    """Row-wise Euclidean projection of rearranged rows onto K: max(h* + lam* a, 0), exact."""
+def project_cone_batch(Hstar, p: SgammaParams) -> np.ndarray:
+    """Row-wise Euclidean projection of rearranged rows of length n onto K:
+    max(h* + lam* a, 0), exact.  Refuses s > n."""
     Hstar = np.atleast_2d(np.asarray(Hstar, dtype=float))
-    return np.maximum(Hstar + _cone_multiplier(Hstar, c)[:, None] * c.halfspace_normal(), 0.0)
+    n = Hstar.shape[1]
+    if p.s > n:
+        raise DomainError(f"s = {p.s} exceeds the row length n = {n}")
+    a = np.full(n, -p.gamma)
+    a[: p.s] = 1.0
+    return np.maximum(Hstar + _cone_multiplier(Hstar, p)[:, None] * a, 0.0)
 
 
-def cone_projection_values(H, c: ConeParams) -> np.ndarray:
+def cone_projection_values(H, p: SgammaParams) -> np.ndarray:
     """Per-row sup over S_gamma of <h, x>: the projection norm of the rearranged row h*."""
-    return np.linalg.norm(project_cone_batch(nonincreasing_rearrangement(H), c), axis=1)
+    return np.linalg.norm(project_cone_batch(nonincreasing_rearrangement(H), p), axis=1)
 
 
 # Same number by Moreau decomposition (||P_K h|| = dist(h, polar K)); the name
@@ -142,39 +122,37 @@ def cone_projection_values(H, c: ConeParams) -> np.ndarray:
 dual_surrogate_values = cone_projection_values
 
 
-def width_DS_gamma_mc(D, c: ConeParams, samples: int, rng: RngStream) -> WidthEstimate:
-    """Monte Carlo estimate of w(D S_gamma) via exact per-draw cone projection."""
+def width_DS_gamma_mc(D, p: SgammaParams, samples: int, rng: RngStream) -> WidthEstimate:
+    """Monte Carlo estimate of w(D S_gamma) for a d x n matrix D via exact
+    per-draw cone projection; theory_bound uses rho = max_i ||d_i||_2^2."""
     if samples < 100:
         raise DomainError("need at least 100 samples")
-    M = D.matrix if isinstance(D, Dictionary) else as_matrix(D)
-    if c.n != M.shape[1]:
-        raise DomainError(f"cone has n = {c.n}, dictionary has {M.shape[1]} columns")
-    rho = D.rho if isinstance(D, Dictionary) else float(np.max(np.sum(M**2, axis=0)))
+    M = as_matrix(D)
     vals = []
     done = 0
     while done < samples:
         block = min(_MC_BLOCK, samples - done)
-        vals.append(cone_projection_values(rng.normal((block, M.shape[0])) @ M, c))
+        vals.append(cone_projection_values(rng.normal((block, M.shape[0])) @ M, p))
         done += block
     v = np.concatenate(vals)
     se = float(v.std(ddof=1) / math.sqrt(v.size))
-    theory = theory_width_bound(c, rho) if rho > 0.0 else 0.0
+    rho = column_norm_bound(M)
+    theory = theory_width_bound(p, M.shape[1], rho) if rho > 0.0 else 0.0
     return WidthEstimate(float(v.mean()), se, samples, "cone_projection_exact", theory)
 
 
-def theory_width_bound(c: ConeParams, rho: float) -> float:
+def theory_width_bound(p: SgammaParams, n: int, rho: float) -> float:
     """Closed-form bound 6 gamma^{-1} sqrt(s rho log(sqrt(2) n / s))."""
     if not (rho > 0.0):
         raise DomainError(f"rho must be positive, got {rho}")
-    arg = math.sqrt(2.0) * c.n / c.s
+    arg = math.sqrt(2.0) * n / p.s
     if not (arg > 1.0):
         raise DomainError("log argument must exceed 1")
-    return 6.0 / c.gamma * math.sqrt(c.s * rho * math.log(arg))
+    return 6.0 / p.gamma * math.sqrt(p.s * rho * math.log(arg))
 
 
 def crude_width_bound(D) -> float:
-    """Operator-norm bound 2 ||D||_2 w(B_2^{n-1}), n = D's column count: simple
+    """Operator-norm bound 2 ||D||_2 w(B_2^{n-1}) for a d x n matrix D: simple
     but carries sqrt(n)."""
-    M = D.matrix if isinstance(D, Dictionary) else as_matrix(D)
-    opn = D.op_norm if isinstance(D, Dictionary) else operator_norm(M)
-    return 2.0 * opn * unit_ball_width(M.shape[1])
+    M = as_matrix(D)
+    return 2.0 * operator_norm(M) * unit_ball_width(M.shape[1])

@@ -11,7 +11,6 @@ import math
 import mpmath
 import numpy as np
 
-from nsplab.dictionary import Dictionary
 from nsplab.errors import DomainError
 from nsplab.nsp import SgammaParams
 from nsplab.numerics import (
@@ -108,8 +107,9 @@ def gamma_star_sampling_oracle(A, s, samples, rng):
 
 
 def eta_grid_oracle(D, p: SgammaParams, resolution: int = 2000) -> float:
-    """Brute-force grid minimum of ||D x||_2 over S_gamma, for n = 2 or 3 only."""
-    M = D.matrix if isinstance(D, Dictionary) else as_matrix(D)
+    """Brute-force grid minimum of ||D x||_2 over S_gamma, for a d x n matrix D
+    with n = 2 or 3 only."""
+    M = as_matrix(D)
     n = M.shape[1]
     if n == 2:
         theta = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
@@ -131,14 +131,21 @@ def eta_grid_oracle(D, p: SgammaParams, resolution: int = 2000) -> float:
     return float(vals.min())
 
 
-def dykstra_projection(H, c, tol=1e-13, max_sweeps=1_000_000):
+def cone_normal(p: SgammaParams, n: int) -> np.ndarray:
+    """a = (1,...,1, -gamma,...,-gamma) with s ones: K = {u >= 0, a @ u >= 0}."""
+    a = np.full(n, -p.gamma)
+    a[: p.s] = 1.0
+    return a
+
+
+def dykstra_projection(H, p: SgammaParams, tol=1e-13, max_sweeps=1_000_000):
     """Independent oracle: row-wise projection onto K by Dykstra's scheme.
 
     Alternates between the nonnegative orthant and the halfspace {a @ u >= 0}
     until successive iterates move less than tol.
     """
-    a = c.halfspace_normal()
     X = np.atleast_2d(np.asarray(H, dtype=float)).copy()
+    a = cone_normal(p, X.shape[1])
     P = np.zeros_like(X)
     Q = np.zeros_like(X)
     for _ in range(max_sweeps):
@@ -188,16 +195,16 @@ def check_soft_moment(sigma: float, t: float, samples: int, rng: RngStream):
 
 
 def check_lemma_key(D, s: int, samples: int, rng: RngStream):
-    """Root-mean-square of the s largest rearranged entries of D^T g against
-    sqrt(4 rho log(sqrt(2) n / s)).
+    """Root-mean-square of the s largest rearranged entries of D^T g, for a
+    d x n matrix D, against sqrt(4 rho log(sqrt(2) n / s)).
 
     Returns (empirical, bound, std_error).
     """
-    M = D.matrix if isinstance(D, Dictionary) else as_matrix(D)
+    M = as_matrix(D)
     d, n = M.shape
     if not (1 <= s <= n):
         raise DomainError(f"need 1 <= s <= n, got s={s}")
-    rho = D.rho if isinstance(D, Dictionary) else float(np.max(np.sum(M * M, axis=0)))
+    rho = float(np.max(np.sum(M * M, axis=0)))
     vals = []
     done = 0
     while done < samples:

@@ -26,7 +26,7 @@ from nsplab.solver import (
     solve_l1_synthesis,
 )
 from nsplab.subgaussian import make_spec, sample_measurement_matrix
-from nsplab.width import ConeParams, cone_projection_values, unit_ball_width, width_DS_gamma_mc
+from nsplab.width import cone_projection_values, unit_ball_width, width_DS_gamma_mc
 from oracles import (
     check_lemma_key,
     check_slepian_contraction,
@@ -134,14 +134,14 @@ def test_criterion_3_width_machinery():
         # (a) identity with s = n reproduces the unit-ball width within 2%
         for n in (2, 5, 10):
             D = make_dictionary("identity", n, n)
-            est = width_DS_gamma_mc(D, ConeParams(1.0, n, n), 100_000, RngStream(300 + n))
+            est = width_DS_gamma_mc(D.matrix, SgammaParams(1.0, n), 100_000, RngStream(300 + n))
             expect = unit_ball_width(n)
             assert abs(est.mean - expect) <= 0.02 * expect
 
         # (b) exact projection equals the Dykstra oracle on 100k draws
         rng = RngStream(301)
         D = make_dictionary("gaussian_unit_norm", 5, 10, rng.substream("dict"))
-        c = ConeParams(0.5, 2, 10)
+        c = SgammaParams(0.5, 2)
         H = rng.substream("g").normal((100_000, 5)) @ D.matrix
         cone_vals = cone_projection_values(H, c)
         oracle_vals = np.linalg.norm(dykstra_projection(nonincreasing_rearrangement(H), c), axis=1)
@@ -152,9 +152,8 @@ def test_criterion_3_width_machinery():
             D = make_dictionary("gaussian_unit_norm", max(2, n // 2), n, RngStream(310 + n))
             for s in (1, 2, 3):
                 for gamma in (0.5, 0.9, 1.0):
-                    cone = ConeParams(gamma, s, n)
                     est = width_DS_gamma_mc(
-                        D, cone, 3000, RngStream(320).substream(n, s, gamma)
+                        D.matrix, SgammaParams(gamma, s), 3000, RngStream(320).substream(n, s, gamma)
                     )
                     assert est.mean <= est.theory_bound + 3.0 * est.std_error, (n, s, gamma)
 
@@ -174,7 +173,7 @@ def test_criterion_4_lemma_checks():
             (make_dictionary("identity", 10, 10), 1),
             (make_dictionary("gaussian_unit_norm", 6, 12, RngStream(401)), 2),
         ):
-            empirical, bound, std_error = check_lemma_key(D, s, 1_000_000, RngStream(402))
+            empirical, bound, std_error = check_lemma_key(D.matrix, s, 1_000_000, RngStream(402))
             assert empirical <= bound + 3.0 * std_error
 
         # tail contracts at one million samples for all three row kinds

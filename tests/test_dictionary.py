@@ -41,7 +41,7 @@ def test_full_spark_examples():
 def test_full_spark_budget_refusal():
     D = make_dictionary("gaussian_unit_norm", 3, 6, RngStream(2))
     with pytest.raises(BudgetExceededError):
-        full_spark_check(D, budget=10)
+        full_spark_check(D.matrix, budget=10)
 
 
 def test_caches_match_recomputation():
@@ -81,13 +81,13 @@ def test_full_spark_invariant_under_well_conditioned_left_multiply():
         # invertible M with condition number below 1e3
         u, _, vt = np.linalg.svd(sub.normal((3, 3)))
         M = u @ np.diag([1.0, 2.5, 8.0]) @ vt
-        assert full_spark_check(D) == full_spark_check(M @ D.matrix)
+        assert full_spark_check(D.matrix) == full_spark_check(M @ D.matrix)
 
 
 def test_gaussian_dictionaries_are_full_spark():
     rng = RngStream(8)
     hits = sum(
-        full_spark_check(make_dictionary("gaussian_unit_norm", 3, 6, rng.substream(t)))
+        full_spark_check(make_dictionary("gaussian_unit_norm", 3, 6, rng.substream(t)).matrix)
         for t in range(100)
     )
     assert hits == 100

@@ -68,6 +68,17 @@ class TestConfig:
         with pytest.raises(DomainError):
             preserve_cfg(experiment="nope")
 
+    @pytest.mark.parametrize(
+        "over",
+        [{"s_grid": (1.5,)}, {"n_grid": (14.0,)}, {"trials": 150.5}, {"gamma": "0.5"}, {"d": 5.0}],
+        ids=["s_grid-float", "n_grid-float", "trials-float", "gamma-string", "d-float"],
+    )
+    def test_python_config_checked_like_json(self, over):
+        # the checks from_json relies on run for a config built in Python too
+        base = dict(experiment="width_compare", d=5, n=14, s=1, gamma=0.5, seed=0, trials=150)
+        with pytest.raises(DomainError, match=f"config key '{next(iter(over))}'"):
+            run_width_compare(ExperimentConfig(**{**base, **over}))
+
 
 class TestPreserve:
     def test_deterministic_rerun(self):

@@ -287,19 +287,19 @@ class TestLpRouteRegression:
 class TestEstimateEta:
     def test_identity_dictionary(self):
         D = make_dictionary("identity", 4, 4)
-        est = estimate_eta(D, SgammaParams(0.7, 1), 5, RngStream(26))
+        est = estimate_eta(D.matrix, SgammaParams(0.7, 1), 5, RngStream(26))
         assert est.eta_upper == pytest.approx(1.0, abs=1e-6)
 
     def test_diagonal_matches_grid_oracle(self):
         D = make_dictionary("user_matrix", 2, 2, matrix=np.diag([2.0, 3.0]))
         p = SgammaParams(1.0, 1)
-        est = estimate_eta(D, p, 10, RngStream(27))
+        est = estimate_eta(D.matrix, p, 10, RngStream(27))
         assert est.eta_upper == pytest.approx(2.0, abs=1e-4)
-        assert est.eta_upper == pytest.approx(eta_grid_oracle(D, p), abs=1e-3)
+        assert est.eta_upper == pytest.approx(eta_grid_oracle(D.matrix, p), abs=1e-3)
 
     def test_kernel_vector_inside_set(self):
         D = make_dictionary("user_matrix", 1, 2, matrix=np.array([[1.0, 1.0]]))
-        est = estimate_eta(D, SgammaParams(1.0, 1), 10, RngStream(28))
+        est = estimate_eta(D.matrix, SgammaParams(1.0, 1), 10, RngStream(28))
         assert est.eta_upper <= 1e-6
 
     def test_upper_bound_semantics(self):
@@ -309,7 +309,7 @@ class TestEstimateEta:
         M = rng.normal((3, 5))
         D = make_dictionary("user_matrix", 3, 5, matrix=M)
         p = SgammaParams(0.8, 1)
-        est = estimate_eta(D, p, 30, rng.substream("eta"))
+        est = estimate_eta(D.matrix, p, 30, rng.substream("eta"))
         for k in range(200):
             x = np.zeros(5)
             j = int(rng.substream("probe", k).integers(0, 5))
@@ -322,7 +322,7 @@ class TestEstimateEta:
         M = rng.normal((4, 6))
         D = make_dictionary("user_matrix", 4, 6, matrix=M)
         p = SgammaParams(0.6, 2)
-        est = estimate_eta(D, p, 20, rng.substream("eta"))
+        est = estimate_eta(D.matrix, p, 20, rng.substream("eta"))
         assert in_S_gamma(est.witness, p, tol=1e-8)
         assert np.linalg.norm(M @ est.witness) == pytest.approx(est.eta_upper, abs=1e-9)
 
@@ -331,8 +331,8 @@ class TestEstimateEta:
         M = rng.normal((3, 3)) + 2.0 * np.eye(3)
         D = make_dictionary("user_matrix", 3, 3, matrix=M)
         p = SgammaParams(0.9, 1)
-        est = estimate_eta(D, p, 40, rng.substream("eta"))
-        grid = eta_grid_oracle(D, p, resolution=700)
+        est = estimate_eta(D.matrix, p, 40, rng.substream("eta"))
+        grid = eta_grid_oracle(D.matrix, p, resolution=700)
         assert est.eta_upper <= grid + 1e-6  # grid points are feasible probes
 
 
@@ -340,18 +340,19 @@ class TestDnspRoute:
     def test_identity_reduces_to_basis_case(self):
         D = make_dictionary("identity", 3, 3)
         phi = RngStream(32).normal((2, 3))
-        direct = certify_nsp(phi, 1)
-        routed = d_nsp_check(D, phi, 1)
+        direct = certify_nsp(phi @ D.matrix, 1)
+        routed = d_nsp_check(D.matrix, phi, 1)
+        assert routed.gamma_star == direct.gamma_star
         assert routed.verdict == direct.verdict
-        assert routed.route == "full_spark_equivalence"
+        assert routed.witness_support == direct.witness_support
 
     def test_zero_phi_fails(self):
         D = make_dictionary("user_matrix", 2, 3, matrix=np.array([[1.0, 0, 1], [0, 1, 1]]))
-        res = d_nsp_check(D, np.zeros((2, 2)), 1)
+        res = d_nsp_check(D.matrix, np.zeros((2, 2)), 1)
         assert res.verdict == "fails"
 
     def test_non_full_spark_refused(self):
         M = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])  # cols 1, 3 parallel
         D = make_dictionary("user_matrix", 2, 3, matrix=M)
         with pytest.raises(NotFullSparkError):
-            d_nsp_check(D, np.eye(2), 1)
+            d_nsp_check(D.matrix, np.eye(2), 1)

@@ -19,7 +19,7 @@ from nsplab.smallball import (
     success_rate,
 )
 from nsplab.subgaussian import make_spec
-from nsplab.width import ConeParams, width_DS_gamma_mc
+from nsplab.width import width_DS_gamma_mc
 from oracles import mp_m_min, mp_rate, small_ball_lower_bound
 
 
@@ -141,14 +141,14 @@ class TestEstimateQ:
         spec = make_spec("std_gaussian", 4)
         D = make_dictionary("identity", 4, 4)
         e1 = np.array([1.0, 0, 0, 0])
-        got = estimate_Q(spec, D, [e1], SgammaParams(0.5, 1), 0.0, 5000, RngStream(70))
+        got = estimate_Q(spec, D.matrix, [e1], SgammaParams(0.5, 1), 0.0, 5000, RngStream(70))
         assert got == 1.0
 
     def test_normal_tail_at_one(self):
         spec = make_spec("std_gaussian", 4)
         D = make_dictionary("identity", 4, 4)
         e1 = np.array([1.0, 0, 0, 0])
-        got = estimate_Q(spec, D, [e1], SgammaParams(0.5, 1), 1.0, 400_000, RngStream(71))
+        got = estimate_Q(spec, D.matrix, [e1], SgammaParams(0.5, 1), 1.0, 400_000, RngStream(71))
         expect = 2.0 * (1.0 - 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0))))
         assert got == pytest.approx(expect, abs=3e-3)
 
@@ -157,7 +157,7 @@ class TestEstimateQ:
         D = make_dictionary("identity", 4, 4)
         bad = np.full(4, 0.5)  # unit norm but spread: not in S_gamma at gamma=1
         with pytest.raises(DomainError):
-            estimate_Q(spec, D, [bad], SgammaParams(1.0, 1), 0.5, 100, RngStream(0))
+            estimate_Q(spec, D.matrix, [bad], SgammaParams(1.0, 1), 0.5, 100, RngStream(0))
 
     def test_dominates_small_ball_bound(self):
         # identity dictionary: every probe has ||D x|| = 1 = eta, so the
@@ -175,7 +175,7 @@ class TestEstimateQ:
             if (np.abs(x[idx]).sum()) >= 0.6 * (np.abs(x).sum() - np.abs(x[idx]).sum()):
                 probes.append(x)
         for xi in (0.2, 0.4, 0.6):
-            got = estimate_Q(spec, D, probes, p, xi, 200_000, rng.substream("mc", xi))
+            got = estimate_Q(spec, D.matrix, probes, p, xi, 200_000, rng.substream("mc", xi))
             bound = small_ball_lower_bound(spec, xi)
             se = math.sqrt(got * (1 - got) / 200_000)
             assert got >= bound - 3.0 * se
@@ -185,20 +185,20 @@ class TestEstimateW:
     def test_zero_dictionary(self):
         spec = make_spec("std_gaussian", 3)
         D = make_dictionary("user_matrix", 3, 6, matrix=np.zeros((3, 6)))
-        est = estimate_W(spec, D, ConeParams(0.5, 1, 6), 4, 500, RngStream(73))
+        est = estimate_W(spec, D.matrix, SgammaParams(0.5, 1), 4, 500, RngStream(73))
         assert est.mean == 0.0
-        with pytest.raises(DomainError, match="cone has n = 5, dictionary has 6 columns"):
-            estimate_W(spec, D, ConeParams(0.5, 1, 5), 4, 500, RngStream(73))
+        with pytest.raises(DomainError, match="s = 7 exceeds the row length n = 6"):
+            estimate_W(spec, D.matrix, SgammaParams(0.5, 7), 4, 500, RngStream(73))
 
     def test_gaussian_rows_match_plain_width(self):
         # standard Gaussian rows: the signed average is again standard normal,
         # so the empirical width equals w(D S_gamma) for every m
         spec = make_spec("std_gaussian", 5)
         D = make_dictionary("identity", 5, 5)
-        c = ConeParams(0.8, 1, 5)
-        plain = width_DS_gamma_mc(D, c, 30_000, RngStream(74))
+        c = SgammaParams(0.8, 1)
+        plain = width_DS_gamma_mc(D.matrix, c, 30_000, RngStream(74))
         for m in (1, 4, 16):
-            est = estimate_W(spec, D, c, m, 8000, RngStream(75).substream(m))
+            est = estimate_W(spec, D.matrix, c, m, 8000, RngStream(75).substream(m))
             combined = 3.0 * math.hypot(est.std_error, plain.std_error)
             assert abs(est.mean - plain.mean) <= combined
 
@@ -207,8 +207,8 @@ class TestEstimateW:
         spec = make_spec("gaussian_sigma", 4, covariance=cov)
         rng = RngStream(76)
         D = make_dictionary("gaussian_unit_norm", 4, 8, rng.substream("dict"))
-        c = ConeParams(0.7, 2, 8)
-        est = estimate_W(spec, D, c, 4, 8000, rng.substream("w"))
-        plain = width_DS_gamma_mc(D, c, 30_000, rng.substream("plain"))
+        c = SgammaParams(0.7, 2)
+        est = estimate_W(spec, D.matrix, c, 4, 8000, rng.substream("w"))
+        plain = width_DS_gamma_mc(D.matrix, c, 30_000, rng.substream("plain"))
         slack = 3.0 * math.hypot(est.std_error, spec.sigma * plain.std_error)
         assert est.mean <= spec.sigma * plain.mean + slack

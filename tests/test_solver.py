@@ -383,7 +383,7 @@ class TestEvaluate:
         x0 = np.array([0.0, 2.0, 0.0, 0.0])
         res = solve_bp_lp(np.eye(4), x0)
         rep = evaluate_recovery(
-            x0, res, D, RecoveryBoundInputs(gamma=0.5, eta=1.0, eps=0.0, C=1.0, sigma=1.0, s=1)
+            x0, res, D.matrix, RecoveryBoundInputs(gamma=0.5, eta=1.0, eps=0.0, C=1.0, sigma=1.0, s=1)
         )
         assert rep.err_x <= 1e-9
         assert rep.coefficient_bound == 0.0
@@ -395,7 +395,7 @@ class TestEvaluate:
         rep = evaluate_recovery(
             np.array([1.0, 0, 0]),
             res,
-            D,
+            D.matrix,
             RecoveryBoundInputs(gamma=0.5, eta=1.0, eps=0.1, C=1.0, sigma=1.0, s=1),
         )
         assert rep.coefficient_bound == pytest.approx(0.2, rel=1e-12)
@@ -408,7 +408,7 @@ class TestEvaluate:
         rep = evaluate_recovery(
             np.array([1.0, 0, 0]),
             res,
-            D,
+            D.matrix,
             RecoveryBoundInputs(gamma=0.5, eta=1.0, eps=0.0, C=1.0, sigma=1.0, s=1),
         )
         assert rep.coefficient_bound == 0.0
@@ -417,7 +417,7 @@ class TestEvaluate:
         rep = evaluate_recovery(
             x0,
             solve_bp_lp(np.eye(3), x0),
-            D,
+            D.matrix,
             RecoveryBoundInputs(gamma=0.5, eta=1.0, eps=0.0, C=1.0, sigma=1.0, s=1),
         )
         assert rep.sigma_s == 1.0
@@ -426,7 +426,7 @@ class TestEvaluate:
         rep = evaluate_recovery(
             np.array([1.0, 0, 0]),
             res,
-            D,
+            D.matrix,
             RecoveryBoundInputs(gamma=0.5, eta=2.0, eps=1.0, C=1.0, sigma=1.0, s=1),
         )
         assert rep.coefficient_bound == pytest.approx(1.0, rel=1e-12)
@@ -446,6 +446,6 @@ class TestEvaluate:
         B = rng.normal((4, 3)) @ M
         res = solve_bp_lp(B, B @ x0)
         rep = evaluate_recovery(
-            x0, res, D, RecoveryBoundInputs(gamma=0.7, eta=0.5, eps=0.3, C=1.0, sigma=2.0, s=2)
+            x0, res, D.matrix, RecoveryBoundInputs(gamma=0.7, eta=0.5, eps=0.3, C=1.0, sigma=2.0, s=2)
         )
         assert rep.signal_bound == pytest.approx(D.op_norm * rep.coefficient_bound, rel=1e-9)

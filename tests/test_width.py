@@ -5,10 +5,10 @@ import pytest
 
 from nsplab.dictionary import make_dictionary
 from nsplab.errors import DomainError
+from nsplab.nsp import SgammaParams
 from nsplab.numerics import nonincreasing_rearrangement
 from nsplab.rng import RngStream
 from nsplab.width import (
-    ConeParams,
     cone_projection_values,
     crude_width_bound,
     project_cone_batch,
@@ -20,6 +20,7 @@ from oracles import (
     check_lemma_key,
     check_slepian_contraction,
     check_soft_moment,
+    cone_normal,
     dykstra_projection,
     soft_moment_quadrature,
 )
@@ -32,13 +33,13 @@ def max_abs_normal_quadrature(n, grid=900_001, upper=9.0):
     return float(np.trapezoid(1.0 - (2.0 * Phi - 1.0) ** n, t))
 
 
-def sample_cone_sphere(c, count, rng):
+def sample_cone_sphere(p, n, count, rng):
     """Random points of K cap S^{n-1} by rejection from the orthant."""
-    a = c.halfspace_normal()
+    a = cone_normal(p, n)
     chunks = []
     have = 0
     while have < count:
-        pts = np.abs(rng.normal((count * 2 + 64, c.n)))
+        pts = np.abs(rng.normal((count * 2 + 64, n)))
         pts = pts[pts @ a >= 0.0]
         chunks.append(pts)
         have += pts.shape[0]
@@ -59,13 +60,13 @@ class TestProjection:
     """project_cone_batch on rearranged rows: nonnegative, largest first."""
 
     def test_fixed_point_inside_cone(self):
-        c = ConeParams(0.5, 1, 4)
+        c = SgammaParams(0.5, 1)
         h = np.array([3.0, 1.0, 0.5, 0.2])  # head 3 >= 0.5 * 1.7
         assert np.allclose(project_cone_batch(h, c)[0], h, atol=1e-9)
 
     def test_three_dimensional_closed_form(self):
         # phi(lam) = (1 + lam) - 2 (1 - lam) vanishes at lam* = 1/3
-        p = project_cone_batch(np.ones(3), ConeParams(1.0, 1, 3))[0]
+        p = project_cone_batch(np.ones(3), SgammaParams(1.0, 1))[0]
         assert np.allclose(p, [4.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0], atol=1e-9)
 
     def test_kkt_and_distance_dominance(self):
@@ -75,28 +76,28 @@ class TestProjection:
             sub = rng.substream(trial)
             n = int(sub.integers(2, 8))
             s = int(sub.integers(1, n + 1))
-            c = ConeParams(float(sub.uniform() * 0.9 + 0.1), s, n)
+            c = SgammaParams(float(sub.uniform() * 0.9 + 0.1), s)
             cases.append((c, nonincreasing_rearrangement(sub.normal(n) * 2.0), sub))
         degenerate = [  # listed before rearrangement
-            (ConeParams(0.6, 2, 6), [1.0, -0.5, 2.0, 2.0, 1.0, 2.0]),  # ties
-            (ConeParams(0.6, 2, 6), [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),  # all tied
-            (ConeParams(0.4, 5, 5), [-1.0, 2.0, 0.5, -3.0, 0.0]),  # s = n
-            (ConeParams(1.0, 2, 5), [0.3, -1.0, 2.0, 1.5, -0.2]),  # gamma = 1
-            (ConeParams(1.0, 1, 1), [-0.7]),  # n = 1
-            (ConeParams(0.5, 1, 4), [3.0, 1.0, 0.5, 0.2]),  # h in K: lambda* = 0
-            (ConeParams(0.7, 2, 5), [-1.0, -0.2, -3.0, -0.1, -2.0]),  # all negative
+            (SgammaParams(0.6, 2), [1.0, -0.5, 2.0, 2.0, 1.0, 2.0]),  # ties
+            (SgammaParams(0.6, 2), [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),  # all tied
+            (SgammaParams(0.4, 5), [-1.0, 2.0, 0.5, -3.0, 0.0]),  # s = n
+            (SgammaParams(1.0, 2), [0.3, -1.0, 2.0, 1.5, -0.2]),  # gamma = 1
+            (SgammaParams(1.0, 1), [-0.7]),  # n = 1
+            (SgammaParams(0.5, 1), [3.0, 1.0, 0.5, 0.2]),  # h in K: lambda* = 0
+            (SgammaParams(0.7, 2), [-1.0, -0.2, -3.0, -0.1, -2.0]),  # all negative
         ]
         for i, (c, h) in enumerate(degenerate):
             cases.append((c, nonincreasing_rearrangement(h), rng.substream("degenerate", i)))
         for c, h, sub in cases:
             u = project_cone_batch(h, c)[0]
             assert np.allclose(u, dykstra_projection(h, c)[0], rtol=0.0, atol=1e-9)
-            a = c.halfspace_normal()
+            a = cone_normal(c, h.size)
             assert np.all(u >= -1e-9)
             assert a @ u >= -1e-9
             # obtuseness at the projection
             assert abs((h - u) @ u) <= 1e-7 * max(np.linalg.norm(h), 1.0)
-            V = sample_cone_sphere(c, 1000, sub.substream("feas"))
+            V = sample_cone_sphere(c, h.size, 1000, sub.substream("feas"))
             V = V * (sub.uniform((V.shape[0], 1)) * 3.0)  # feasible points of any radius
             dists = np.linalg.norm(V - h, axis=1)
             assert np.linalg.norm(h - u) <= dists.min() + 1e-7
@@ -109,10 +110,10 @@ class TestProjection:
             sub = rng.substream(trial)
             n = int(sub.integers(2, 5))
             s = int(sub.integers(1, n + 1))
-            c = ConeParams(float(sub.uniform() * 0.9 + 0.1), s, n)
+            c = SgammaParams(float(sub.uniform() * 0.9 + 0.1), s)
             hstar = np.sort(np.abs(sub.normal(n)))[::-1]
             proj_norm = float(np.linalg.norm(project_cone_batch(hstar, c)[0]))
-            U = sample_cone_sphere(c, 1_000_000, sub.substream("pts"))
+            U = sample_cone_sphere(c, n, 1_000_000, sub.substream("pts"))
             sampled = float((U @ hstar).max())
             assert sampled <= proj_norm + 1e-9
             assert proj_norm - sampled <= 0.02 * max(proj_norm, 1e-9)
@@ -122,38 +123,38 @@ class TestWidthEstimators:
     def test_identity_full_sphere_matches_gamma_formula(self):
         for n in (2, 5):
             D = make_dictionary("identity", n, n)
-            est = width_DS_gamma_mc(D, ConeParams(1.0, n, n), 40_000, RngStream(45 + n))
+            est = width_DS_gamma_mc(D.matrix, SgammaParams(1.0, n), 40_000, RngStream(45 + n))
             expect = unit_ball_width(n)
             assert abs(est.mean - expect) <= 3.0 * est.std_error
 
     def test_zero_dictionary(self):
         D = make_dictionary("user_matrix", 3, 6, matrix=np.zeros((3, 6)))
-        est = width_DS_gamma_mc(D, ConeParams(0.5, 2, 6), 200, RngStream(46))
+        est = width_DS_gamma_mc(D.matrix, SgammaParams(0.5, 2), 200, RngStream(46))
         assert est.mean == 0.0
         assert est.theory_bound == 0.0
 
     def test_identity_below_theory_bound(self):
         D = make_dictionary("identity", 10, 10)
-        c = ConeParams(1.0, 1, 10)
-        est = width_DS_gamma_mc(D, c, 20_000, RngStream(47))
-        assert est.theory_bound == pytest.approx(theory_width_bound(c, 1.0), rel=1e-12)
+        c = SgammaParams(1.0, 1)
+        est = width_DS_gamma_mc(D.matrix, c, 20_000, RngStream(47))
+        assert est.theory_bound == pytest.approx(theory_width_bound(c, 10, 1.0), rel=1e-12)
         assert est.mean <= est.theory_bound + 3.0 * est.std_error
 
     def test_requires_minimum_samples(self):
         D = make_dictionary("identity", 2, 2)
         with pytest.raises(DomainError):
-            width_DS_gamma_mc(D, ConeParams(1.0, 1, 2), 50, RngStream(0))
-        with pytest.raises(DomainError, match="cone has n = 3, dictionary has 2 columns"):
-            width_DS_gamma_mc(D, ConeParams(1.0, 1, 3), 100, RngStream(0))
+            width_DS_gamma_mc(D.matrix, SgammaParams(1.0, 1), 50, RngStream(0))
+        with pytest.raises(DomainError, match="s = 3 exceeds the row length n = 2"):
+            width_DS_gamma_mc(D.matrix, SgammaParams(1.0, 3), 100, RngStream(0))
 
     def test_dual_zero_vector(self):
-        c = ConeParams(0.5, 1, 4)
+        c = SgammaParams(0.5, 1)
         got = cone_projection_values(np.zeros((1, 4)), c)[0]
         assert got == 0.0
         assert np.linalg.norm(dykstra_projection(np.zeros((1, 4)), c)) <= 1e-9
 
     def test_dual_no_tail_reduces_to_norm(self):
-        c = ConeParams(1.0, 4, 4)
+        c = SgammaParams(1.0, 4)
         hstar = np.sort(np.abs(RngStream(48).normal(4)))[::-1]
         got = cone_projection_values(hstar[None, :], c)[0]
         assert abs(got - np.linalg.norm(dykstra_projection(hstar, c))) <= 1e-9
@@ -162,7 +163,7 @@ class TestWidthEstimators:
     def test_per_sample_duality_on_shared_draws(self):
         rng = RngStream(49)
         D = make_dictionary("gaussian_unit_norm", 5, 10, rng.substream("dict"))
-        c = ConeParams(0.5, 2, 10)
+        c = SgammaParams(0.5, 2)
         H = rng.substream("g").normal((5000, 5)) @ D.matrix
         Hstar = np.sort(np.abs(H), axis=1)[:, ::-1]
         cone_vals = cone_projection_values(H, c)
@@ -172,8 +173,8 @@ class TestWidthEstimators:
     def test_dual_mean_dominates_mc_mean_shared_randomness(self):
         # width_DS_gamma_mc draws its 2000 rows in one block from the stream
         D = make_dictionary("gaussian_unit_norm", 5, 10, RngStream(50))
-        c = ConeParams(0.5, 2, 10)
-        mc = width_DS_gamma_mc(D, c, 2000, RngStream(51))
+        c = SgammaParams(0.5, 2)
+        mc = width_DS_gamma_mc(D.matrix, c, 2000, RngStream(51))
         Hstar = nonincreasing_rearrangement(RngStream(51).normal((2000, 5)) @ D.matrix)
         oracle_mean = float(np.linalg.norm(dykstra_projection(Hstar, c), axis=1).mean())
         assert abs(mc.mean - oracle_mean) <= 1e-9
@@ -181,31 +182,32 @@ class TestWidthEstimators:
     def test_monotone_in_s_and_gamma_at_fixed_randomness(self):
         D = make_dictionary("gaussian_unit_norm", 6, 12, RngStream(52))
         means_s = [
-            width_DS_gamma_mc(D, ConeParams(0.8, s, 12), 2000, RngStream(53)).mean
+            width_DS_gamma_mc(D.matrix, SgammaParams(0.8, s), 2000, RngStream(53)).mean
             for s in (1, 2, 3)
         ]
         assert means_s[0] <= means_s[1] <= means_s[2]
         means_g = [
-            width_DS_gamma_mc(D, ConeParams(g, 2, 12), 2000, RngStream(53)).mean
+            width_DS_gamma_mc(D.matrix, SgammaParams(g, 2), 2000, RngStream(53)).mean
             for g in (1.0, 0.9, 0.5)
         ]
         assert means_g[0] <= means_g[1] <= means_g[2]
 
-    def test_json_fields(self):
+    def test_estimate_fields(self):
         D = make_dictionary("identity", 2, 2)
-        est = width_DS_gamma_mc(D, ConeParams(1.0, 1, 2), 200, RngStream(54))
-        d = est.to_json()
-        assert set(d) == {"mean", "std_error", "samples", "estimator", "theory_bound"}
-        assert d["estimator"] == "cone_projection_exact"
+        est = width_DS_gamma_mc(D.matrix, SgammaParams(1.0, 1), 200, RngStream(54))
+        assert est.estimator == "cone_projection_exact"
+        assert est.samples == 200
+        assert 0.0 < est.mean and 0.0 < est.std_error
+        assert est.theory_bound == pytest.approx(theory_width_bound(SgammaParams(1.0, 1), 2, 1.0))
 
 
 class TestTheoryBounds:
     def test_closed_form_values(self):
-        got = theory_width_bound(ConeParams(1.0, 1, 10), 1.0)
+        got = theory_width_bound(SgammaParams(1.0, 1), 10, 1.0)
         assert got == pytest.approx(6.0 * math.sqrt(math.log(math.sqrt(2.0) * 10.0)), rel=1e-12)
         assert got == pytest.approx(9.7657, abs=2e-4)
-        assert theory_width_bound(ConeParams(0.5, 1, 10), 1.0) == pytest.approx(2 * got, rel=1e-12)
-        got2 = theory_width_bound(ConeParams(1.0, 2, 10), 4.0)
+        assert theory_width_bound(SgammaParams(0.5, 1), 10, 1.0) == pytest.approx(2 * got, rel=1e-12)
+        got2 = theory_width_bound(SgammaParams(1.0, 2), 10, 4.0)
         assert got2 == pytest.approx(
             6.0 * math.sqrt(2.0 * 4.0 * math.log(math.sqrt(2.0) * 5.0)), rel=1e-12
         )
@@ -213,14 +215,14 @@ class TestTheoryBounds:
 
     def test_crude_bound(self):
         D = make_dictionary("identity", 2, 2)
-        assert crude_width_bound(D) == pytest.approx(2.0 * unit_ball_width(2), rel=1e-10)
+        assert crude_width_bound(D.matrix) == pytest.approx(2.0 * unit_ball_width(2), rel=1e-10)
         D0 = make_dictionary("user_matrix", 2, 2, matrix=np.zeros((2, 2)))
-        assert crude_width_bound(D0) == 0.0
+        assert crude_width_bound(D0.matrix) == 0.0
         D3 = make_dictionary("user_matrix", 2, 2, matrix=3.0 * np.eye(2))
-        assert crude_width_bound(D3) == pytest.approx(6.0 * unit_ball_width(2), rel=1e-8)
+        assert crude_width_bound(D3.matrix) == pytest.approx(6.0 * unit_ball_width(2), rel=1e-8)
         # n is the dictionary's column count, not d
         G = make_dictionary("gaussian_unit_norm", 10, 14, RngStream(0))
-        assert crude_width_bound(G) == pytest.approx(2.0 * G.op_norm * unit_ball_width(14), rel=1e-12)
+        assert crude_width_bound(G.matrix) == pytest.approx(2.0 * G.op_norm * unit_ball_width(14), rel=1e-12)
 
 
 class TestSoftMoment:
@@ -248,13 +250,13 @@ class TestSoftMoment:
 class TestLemmaKey:
     def test_zero_dictionary(self):
         D = make_dictionary("user_matrix", 3, 5, matrix=np.zeros((3, 5)))
-        empirical, bound, std_error = check_lemma_key(D, 1, 1000, RngStream(58))
+        empirical, bound, std_error = check_lemma_key(D.matrix, 1, 1000, RngStream(58))
         assert empirical == 0.0
         assert empirical <= bound + 3.0 * std_error
 
     def test_identity_max_abs_normal(self):
         D = make_dictionary("identity", 10, 10)
-        empirical, bound, std_error = check_lemma_key(D, 1, 200_000, RngStream(59))
+        empirical, bound, std_error = check_lemma_key(D.matrix, 1, 200_000, RngStream(59))
         oracle = max_abs_normal_quadrature(10)
         assert oracle == pytest.approx(1.8807, abs=2e-4)  # frozen oracle value
         assert abs(empirical - oracle) <= 3.0 * std_error
@@ -266,8 +268,8 @@ class TestLemmaKey:
         M = rng.normal((4, 8))
         D1 = make_dictionary("user_matrix", 4, 8, matrix=M)
         D2 = make_dictionary("user_matrix", 4, 8, matrix=2.0 * M)
-        empirical1, bound1, _ = check_lemma_key(D1, 2, 50_000, RngStream(61))
-        empirical2, bound2, _ = check_lemma_key(D2, 2, 50_000, RngStream(61))
+        empirical1, bound1, _ = check_lemma_key(D1.matrix, 2, 50_000, RngStream(61))
+        empirical2, bound2, _ = check_lemma_key(D2.matrix, 2, 50_000, RngStream(61))
         assert empirical2 == pytest.approx(2.0 * empirical1, rel=1e-9)
         assert bound2 == pytest.approx(2.0 * bound1, rel=1e-12)
 
