@@ -11,7 +11,6 @@ import numpy as np
 
 from nsplab import (
     RecoveryBoundInputs,
-    RecoveryProblem,
     RngStream,
     SgammaParams,
     certify_nsp,
@@ -38,7 +37,7 @@ x0 = np.zeros(18)
 x0[4] = 1.5
 y = B @ x0
 lp = solve_bp_lp(B, y)
-admm = solve_l1_synthesis(RecoveryProblem(B, y, 0.0))
+admm = solve_l1_synthesis(B, y)
 print(f"LP:        err {np.abs(lp.x_hat - x0).max():.2e}, objective {lp.objective:.6f}")
 print(f"splitting: err {np.abs(admm.x_hat - x0).max():.2e}, objective {admm.objective:.6f} "
       f"({admm.iterations} iterations)")
@@ -48,7 +47,7 @@ gamma = 0.5 * (cert.gamma_star + 1.0)
 eta = estimate_eta(B, SgammaParams(gamma, 1), restarts=20, rng=rng.substream("eta"))
 eps = 0.05
 y_noisy = y + eps * rng.substream("noise").unit_vector(9)
-res = solve_l1_synthesis(RecoveryProblem(B, y_noisy, eps))
+res = solve_l1_synthesis(B, y_noisy, eps)
 report = evaluate_recovery(
     x0, res, D.matrix, RecoveryBoundInputs(gamma, eta.eta_upper, eps, C=1.0, sigma=1.0, s=1)
 )

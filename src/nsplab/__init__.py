@@ -43,7 +43,7 @@ from .numerics import (
     write_vector_text,
 )
 from .rng import RngStream, stable_stream_id
-from .simplex import LpProblem, LpResult, solve_lp
+from .simplex import LpResult, solve_lp
 from .smallball import (
     FORMULA_IDS,
     BoundInputs,
@@ -58,9 +58,7 @@ from .smallball import (
 )
 from .solver import (
     RecoveryBoundInputs,
-    RecoveryProblem,
     RecoveryResult,
-    SplitParams,
     best_s_term_error,
     evaluate_recovery,
     solve_bp_lp,

@@ -16,7 +16,7 @@ from .harness import ExperimentConfig, _fmt, run_experiment
 from .nsp import certificate_to_json, certify_nsp
 from .numerics import read_matrix_text, read_vector_text
 from .smallball import BoundInputs, bounds_table
-from .solver import RecoveryProblem, recovery_result_to_json, solve_bp_lp, solve_l1_synthesis
+from .solver import recovery_result_to_json, solve_bp_lp, solve_l1_synthesis
 
 
 def _cmd_nsp_check(args) -> int:
@@ -54,7 +54,7 @@ def _cmd_recover(args) -> int:
             raise NsplabError("the lp method is exact basis pursuit: eps must be 0")
         result = solve_bp_lp(B, y)
     else:
-        result = solve_l1_synthesis(RecoveryProblem(B, y, args.eps))
+        result = solve_l1_synthesis(B, y, args.eps)
     payload = recovery_result_to_json(result)
     z_hat = None
     if args.D and result.x_hat is not None:

@@ -21,7 +21,7 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,7 +33,7 @@ from .nsp import SgammaParams, certify_nsp, estimate_eta
 from .numerics import read_matrix_text
 from .rng import RngStream, stable_stream_id
 from .smallball import BoundInputs, bounds_table
-from .solver import RecoveryProblem, solve_l1_synthesis
+from .solver import solve_l1_synthesis
 from .subgaussian import condition_number, make_spec, sample_measurement_matrix
 from .width import crude_width_bound, width_DS_gamma_mc
 
@@ -103,6 +103,9 @@ class ExperimentConfig:
         unknown = set(raw) - set(ExperimentConfig.__dataclass_fields__)
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
+        missing = [f.name for f in fields(ExperimentConfig) if f.default is MISSING and f.name not in raw]
+        if missing:
+            raise DomainError(f"missing config keys: {missing}")
         return ExperimentConfig(**raw)
 
 
@@ -200,7 +203,7 @@ def run_phase_transition(cfg: ExperimentConfig) -> str:
         y = B @ x0
         if cfg.eps > 0.0:
             y = y + cfg.eps * rng.unit_vector(m)
-        res = solve_l1_synthesis(RecoveryProblem(B, y, cfg.eps))
+        res = solve_l1_synthesis(B, y, cfg.eps)
         if res.x_hat is None:
             return (m, trial, 0, math.inf, math.inf, 0.0, res.status)
         err_x = float(np.linalg.norm(res.x_hat - x0))

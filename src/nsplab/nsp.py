@@ -38,7 +38,7 @@ from .dictionary import full_spark_check
 from .errors import BudgetExceededError, DomainError, LpSolveError, NotFullSparkError
 from .numerics import RANK_TOL, as_matrix, as_vector, kernel_basis
 from .rng import RngStream
-from .simplex import LpProblem, solve_lp
+from .simplex import solve_lp
 
 CERT_BUDGET = 10**6      # circuit candidates or LPs, whichever route runs
 _CIRCUIT_CHUNK = 64      # (k-1)-subsets per batched QR
@@ -124,8 +124,7 @@ def _support_lp(N, T, signs, n):
     rows[-1, k:] = 1.0
     rhs[-1] = 1.0
     free = [True] * k + [False] * nt
-    problem = LpProblem.build(obj, rows, rhs, ["<="] * (2 * nt + 1), free=free)
-    res = solve_lp(problem)
+    res = solve_lp(obj, rows, rhs, ["<="] * (2 * nt + 1), free=free)
     if res.status != "optimal":
         raise LpSolveError(f"support LP for T = {T} ended with status {res.status}")
     return res.value, N @ res.x[:k]

@@ -21,37 +21,6 @@ LP_TOL = 1e-9        # pivot, ratio-test and feasibility tolerance
 
 
 @dataclass(frozen=True)
-class LpProblem:
-    """maximize objective @ x subject to rows of (constraints, senses, rhs).
-
-    senses entries are '<=' or '='.  free holds one bool per variable: a free
-    variable is unbounded, every other one is >= 0 (the default).
-    """
-
-    objective: np.ndarray
-    constraints: np.ndarray
-    rhs: np.ndarray
-    senses: tuple
-    free: tuple
-
-    @staticmethod
-    def build(objective, constraints, rhs, senses, free=None) -> "LpProblem":
-        c = as_vector(objective)
-        A = as_matrix(constraints)
-        b = as_vector(rhs)
-        n = c.size
-        if A.shape != (b.size, n):
-            raise DomainError(f"inconsistent LP dimensions: A {A.shape}, c {n}, b {b.size}")
-        senses = tuple(senses)
-        if len(senses) != b.size or any(s not in ("<=", "=") for s in senses):
-            raise DomainError("senses must be '<=' or '=' per constraint row")
-        free = (False,) * n if free is None else tuple(bool(f) for f in free)
-        if len(free) != n:
-            raise DomainError("one free flag required per variable")
-        return LpProblem(c, A, b, senses, free)
-
-
-@dataclass(frozen=True)
 class LpResult:
     status: str  # 'optimal' | 'unbounded' | 'infeasible'
     x: np.ndarray | None
@@ -107,14 +76,29 @@ def _run_simplex(T, zrow, basis, allowed):
             raise LpSolveError(f"simplex exceeded the pivot budget of {_MAX_PIVOTS}")
 
 
-def solve_lp(problem: LpProblem) -> LpResult:
-    """Solve an LpProblem; on 'optimal' the returned x is feasible within LP_TOL."""
-    c0, b, senses = problem.objective, problem.rhs, problem.senses
+def solve_lp(objective, constraints, rhs, senses, free=None) -> LpResult:
+    """maximize objective @ x subject to constraints @ x (senses) rhs.
+
+    senses holds '<=' or '=' per row.  free holds one bool per variable: a
+    free variable is unbounded, every other one is >= 0 (the default).  On
+    'optimal' the returned x is feasible within LP_TOL.
+    """
+    c0 = as_vector(objective)
+    A = as_matrix(constraints)
+    b = as_vector(rhs)
     n0, m = c0.size, b.size
+    if A.shape != (m, n0):
+        raise DomainError(f"inconsistent LP dimensions: A {A.shape}, c {n0}, b {m}")
+    senses = tuple(senses)
+    if len(senses) != m or any(s not in ("<=", "=") for s in senses):
+        raise DomainError("senses must be '<=' or '=' per constraint row")
+    free = np.zeros(n0, dtype=int) if free is None else np.array([bool(f) for f in free], dtype=int)
+    if free.size != n0:
+        raise DomainError("one free flag required per variable")
 
     # Standard form: x_j >= 0 keeps its column; a free x_j = x_j^+ - x_j^-
     # adds the negated column right after it.
-    owner = np.repeat(np.arange(n0), 1 + np.array(problem.free, dtype=int))
+    owner = np.repeat(np.arange(n0), 1 + free)
     neg = np.zeros(owner.size, dtype=bool)
     neg[1:] = owner[1:] == owner[:-1]
     sign = np.where(neg, -1.0, 1.0)
@@ -125,7 +109,7 @@ def solve_lp(problem: LpProblem) -> LpResult:
     slack_rows = [i for i in range(m) if senses[i] == "<="]
     art_start = ns + len(slack_rows)
     T = np.zeros((m, art_start + 1))
-    T[:, :ns] = problem.constraints[:, owner] * sign
+    T[:, :ns] = A[:, owner] * sign
     T[slack_rows, ns + np.arange(len(slack_rows))] = 1.0
     T[:, -1] = b
     flip = b < 0.0

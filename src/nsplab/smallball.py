@@ -164,6 +164,8 @@ def estimate_Q(
     """
     if xi < 0.0:
         raise DomainError("xi must be nonnegative")
+    if samples < 1:
+        raise DomainError("samples must be at least 1")
     M = as_matrix(D)
     X = np.column_stack([np.asarray(x, dtype=float) for x in probes])
     for i in range(X.shape[1]):
@@ -193,6 +195,8 @@ def estimate_W(
     and take the supremum over S_gamma by the cone projection of h D."""
     if m < 1:
         raise DomainError("m must be at least 1")
+    if samples < 1:
+        raise DomainError("samples must be at least 1")
     M = as_matrix(D)
     d = M.shape[0]
     vals = []

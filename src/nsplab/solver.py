@@ -15,26 +15,23 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import as_matrix, as_vector, operator_norm
-from .simplex import LpProblem, solve_lp
+from .simplex import solve_lp
 
 _BOUND_SLACK = 1e-6  # evaluate_recovery: absolute slack on both error bounds
 
-
-@dataclass(frozen=True)
-class RecoveryProblem:
-    B: np.ndarray                  # sensing composition, m x n
-    y: np.ndarray                  # measurements
-    eps: float = 0.0               # noise radius
-
-    def __post_init__(self):
-        B = as_matrix(self.B)
-        y = as_vector(self.y)
-        if y.size != B.shape[0]:
-            raise DomainError(f"y has length {y.size}, B has {B.shape[0]} rows")
-        if self.eps < 0.0:
-            raise DomainError("eps must be nonnegative")
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "y", y)
+# Splitting iteration (Boyd, Parikh, Chu, Peleato & Eckstein 2011, sections
+# 3.3 and 3.4.1).  STEP is the initial penalty; it adapts by factors of 2
+# whenever the primal/dual residual ratio exceeds 10, but only during the
+# first ADAPT_ITERS iterations so the penalty settles (perpetual rebalancing
+# can cycle).  Convergence needs both residuals below TOL_ABS plus a
+# TOL_REL-scaled norm term; these values keep the l1 objective within about
+# 1e-7 of the exact optimum: the LP value on noiseless problems, the
+# certified optimum of the eps-ball problem otherwise.
+STEP = 1.0
+MAX_ITER = 50_000
+TOL_ABS = 1e-11
+TOL_REL = 1e-9
+ADAPT_ITERS = 1000
 
 
 @dataclass(frozen=True)
@@ -47,26 +44,6 @@ class RecoveryResult:
     penalty_changes: int = 0       # splitting: balancing steps that moved the penalty
 
 
-@dataclass(frozen=True)
-class SplitParams:
-    """Knobs of the splitting iteration.
-
-    step is the initial penalty; it adapts by factors of 2 whenever the
-    primal/dual residual ratio exceeds 10, but only during the first
-    adapt_iters iterations so the penalty settles (perpetual rebalancing can
-    cycle).  Convergence needs both residuals below tol_abs plus a
-    tol_rel-scaled norm term; the defaults keep the l1 objective within
-    about 1e-7 of the exact optimum: the LP value on noiseless problems, the
-    certified optimum of the eps-ball problem otherwise.
-    """
-
-    step: float = 1.0
-    max_iter: int = 50_000
-    tol_abs: float = 1e-11
-    tol_rel: float = 1e-9
-    adapt_iters: int = 1000
-
-
 def best_s_term_error(x, s: int) -> float:
     """l1 distance to the nearest s-sparse vector: the n-s smallest |x_i| summed."""
     v = np.abs(as_vector(x))
@@ -77,19 +54,28 @@ def best_s_term_error(x, s: int) -> float:
     return float(np.sort(v)[: v.size - s].sum())
 
 
+def _recovery_inputs(B, y, eps=0.0):
+    """The input check of both recovery routes: returns B and y as arrays."""
+    B = as_matrix(B)
+    y = as_vector(y)
+    if y.size != B.shape[0]:
+        raise DomainError(f"y has length {y.size}, B has {B.shape[0]} rows")
+    if not eps >= 0.0:
+        raise DomainError(f"eps must be nonnegative, got {eps}")
+    return B, y
+
+
 def solve_bp_lp(B, y) -> RecoveryResult:
     """Noiseless basis pursuit by exact LP: split x = x+ - x-, minimize the sum.
 
     Reports infeasible when y is not in the range of B (within the simplex
     tolerance LP_TOL).
     """
-    Bm = as_matrix(B)
-    yv = as_vector(y)
+    Bm, yv = _recovery_inputs(B, y)
     m, n = Bm.shape
     objective = -np.ones(2 * n)  # maximize the negated l1 mass
     constraints = np.hstack([Bm, -Bm])
-    problem = LpProblem.build(objective, constraints, yv, ["="] * m)
-    res = solve_lp(problem)
+    res = solve_lp(objective, constraints, yv, ["="] * m)
     if res.status != "optimal":
         return RecoveryResult(None, None, None, res.iterations, "infeasible")
     x = res.x[:n] - res.x[n:]
@@ -102,22 +88,23 @@ def solve_bp_lp(B, y) -> RecoveryResult:
     )
 
 
-def solve_l1_synthesis(p: RecoveryProblem, params: SplitParams = SplitParams()) -> RecoveryResult:
+def solve_l1_synthesis(B, y, eps=0.0) -> RecoveryResult:
     """Operator-splitting solve of min ||x||_1 s.t. ||y - B x||_2 <= eps.
 
     Consensus form: z mirrors x for the shrinkage step, r mirrors y - B x
     for the ball projection.  The x update solves a fixed ridge system
     (I + B^T B), cached once; the penalty only enters the shrinkage.
 
-    The stopping rule and residual balancing follow Boyd, Parikh, Chu,
-    Peleato & Eckstein (2011), sections 3.3 and 3.4.1.  Each norm is
-    sqrt(v @ v), which is what np.linalg.norm computes for a real vector,
-    and the dual residual is formed only on the iterations that read it:
-    when the primal test passes, or on a balancing iteration.  Every
-    iterate is the same float64 value as with the residuals formed each
-    time.  penalty_changes counts the balancing steps that moved rho.
+    The module constants STEP, MAX_ITER, TOL_ABS, TOL_REL and ADAPT_ITERS
+    set the stopping rule and the residual balancing; they are read once
+    per call.  Each norm is sqrt(v @ v), which is what np.linalg.norm
+    computes for a real vector, and the dual residual is formed only on the
+    iterations that read it: when the primal test passes, or on a balancing
+    iteration.  Every iterate is the same float64 value as with the
+    residuals formed each time.  penalty_changes counts the balancing steps
+    that moved rho.
     """
-    B, y, eps = p.B, p.y, p.eps
+    B, y = _recovery_inputs(B, y, eps)
     m, n = B.shape
     # Unreachable measurement ball: compare eps with the distance to range(B).
     x_ls, *_ = np.linalg.lstsq(B, y, rcond=None)
@@ -125,7 +112,7 @@ def solve_l1_synthesis(p: RecoveryProblem, params: SplitParams = SplitParams()) 
     if dist > eps + 1e-7 * max(1.0, float(np.linalg.norm(y))) + 1e-9:
         return RecoveryResult(None, None, None, 0, "infeasible")
 
-    rho = params.step
+    rho = STEP
     changes = 0
     Bt = B.T
     solve_ridge = np.linalg.inv(np.eye(n) + Bt @ B)  # small n: cache the inverse
@@ -134,8 +121,9 @@ def solve_l1_synthesis(p: RecoveryProblem, params: SplitParams = SplitParams()) 
     r = y.copy() if eps >= float(np.linalg.norm(y)) else np.zeros(m)
     u_z = np.zeros(n)
     u_r = np.zeros(m)
-    tol_floor = math.sqrt(n + m) * params.tol_abs
-    for it in range(1, params.max_iter + 1):
+    tol_floor = math.sqrt(n + m) * TOL_ABS
+    max_iter, tol_rel, adapt_iters = MAX_ITER, TOL_REL, ADAPT_ITERS  # the loop reads locals
+    for it in range(1, max_iter + 1):
         x = solve_ridge @ ((z - u_z) + Bt @ (y - r + u_r))
         bx = B @ x
         res = y - bx
@@ -154,8 +142,8 @@ def solve_l1_synthesis(p: RecoveryProblem, params: SplitParams = SplitParams()) 
         scale_pri = max(
             math.sqrt(x @ x), math.sqrt(z @ z), math.sqrt(r @ r), math.sqrt(bx @ bx), 1.0
         )
-        pri_ok = pri < tol_floor + params.tol_rel * scale_pri
-        balance = it % 10 == 0 and it <= params.adapt_iters
+        pri_ok = pri < tol_floor + tol_rel * scale_pri
+        balance = it % 10 == 0 and it <= adapt_iters
         if not (pri_ok or balance):
             continue
         d_z = z - z_old
@@ -163,7 +151,7 @@ def solve_l1_synthesis(p: RecoveryProblem, params: SplitParams = SplitParams()) 
         dual = rho * math.hypot(math.sqrt(d_z @ d_z), math.sqrt(d_u @ d_u))
         if pri_ok:
             scale_dual = max(rho * math.hypot(math.sqrt(u_z @ u_z), math.sqrt(u_r @ u_r)), 1.0)
-            if dual < tol_floor + params.tol_rel * scale_dual:
+            if dual < tol_floor + tol_rel * scale_dual:
                 return RecoveryResult(
                     x_hat=x,
                     objective=float(np.abs(x).sum()),
@@ -188,7 +176,7 @@ def solve_l1_synthesis(p: RecoveryProblem, params: SplitParams = SplitParams()) 
         x_hat=x,
         objective=float(np.abs(x).sum()),
         residual_norm=float(np.linalg.norm(y - B @ x)),
-        iterations=params.max_iter,
+        iterations=max_iter,
         status="max_iter",
         penalty_changes=changes,
     )

@@ -20,7 +20,6 @@ from nsplab.numerics import nonincreasing_rearrangement
 from nsplab.rng import RngStream
 from nsplab.smallball import FORMULA_IDS, BoundInputs, m_min, success_probability
 from nsplab.solver import (
-    RecoveryProblem,
     best_s_term_error,
     solve_bp_lp,
     solve_l1_synthesis,
@@ -211,7 +210,7 @@ def test_criterion_5_solver_cross_validation():
             x0[sub.permutation(40)[:3]] = sub.normal(3)
             y = B @ x0
             lp = solve_bp_lp(B, y)
-            admm = solve_l1_synthesis(RecoveryProblem(B, y, 0.0))
+            admm = solve_l1_synthesis(B, y)
             assert lp.status == "converged" and admm.status == "converged"
             assert abs(admm.objective - lp.objective) <= 1e-6, trial
 
@@ -324,7 +323,7 @@ def test_criterion_8_recovery_bound_audit():
                     y = B @ x0
                     if eps > 0:
                         y = y + eps * sub.unit_vector(m)
-                    res = solve_l1_synthesis(RecoveryProblem(B, y, eps))
+                    res = solve_l1_synthesis(B, y, eps)
                     if res.status != "converged":
                         continue
                     bound = (2 * gamma + 2) / (1 - gamma) * best_s_term_error(x0, 1) \

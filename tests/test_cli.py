@@ -9,7 +9,7 @@ from nsplab.numerics import write_matrix_text, write_vector_text
 from nsplab.rng import RngStream
 from nsplab.simplex import LpResult
 from nsplab.smallball import BoundInputs, m_min
-from nsplab.solver import RecoveryProblem, solve_l1_synthesis
+from nsplab.solver import solve_l1_synthesis
 
 
 def run_cli(capsys, *argv):
@@ -36,7 +36,7 @@ def test_nsp_check_lp_failure_exits_1(tmp_path, capsys, monkeypatch, failure):
     if failure == "pivot_budget":
         monkeypatch.setattr(simplex, "_MAX_PIVOTS", 0)
     else:
-        monkeypatch.setattr(nsp, "solve_lp", lambda problem: LpResult("unbounded", None, None, 0))
+        monkeypatch.setattr(nsp, "solve_lp", lambda *args, **kwargs: LpResult("unbounded", None, None, 0))
     code, out, err = run_cli(capsys, "nsp-check", "--A", str(path), "--s", "1")
     assert code == 1
     assert out == ""
@@ -154,7 +154,7 @@ def test_recover_reports_penalty_changes(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     # the text round-trip is exact, so the CLI solves the same problem
-    expected = solve_l1_synthesis(RecoveryProblem(B, y, 0.05))
+    expected = solve_l1_synthesis(B, y, 0.05)
     assert payload["penalty_changes"] == expected.penalty_changes > 0
     assert payload["iterations"] == expected.iterations
     code, out, _ = run_cli(capsys, *args, "--method", "lp")
@@ -230,9 +230,10 @@ PRESERVE_CFG = {
         {**PRESERVE_CFG, "trials": True},
         {**PRESERVE_CFG, "n_grid": [10.0]},
         [PRESERVE_CFG],
+        {k: v for k, v in PRESERVE_CFG.items() if k != "seed"},
     ],
     ids=["d-string", "m_grid-float", "seed-float", "trials-string", "trials-bool", "n_grid-float",
-         "list"],
+         "list", "seed-missing"],
 )
 def test_config_value_of_wrong_type_exits_1(tmp_path, capsys, config):
     path = tmp_path / "cfg.json"

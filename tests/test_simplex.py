@@ -6,27 +6,28 @@ import numpy as np
 import pytest
 
 from nsplab.rng import RngStream
-from nsplab.simplex import LpProblem, _pivot, solve_lp
+from nsplab.simplex import _pivot, solve_lp
 
 
-def lp_vertex_oracle(problem, feas_tol=1e-7):
+def lp_vertex_oracle(objective, constraints, rhs, senses, free=None, feas_tol=1e-7):
     """Best objective over all basic feasible points, by brute enumeration.
 
-    Builds the full list of inequality/equality facets (rows and x_j >= 0 for
-    every variable that is not free), solves every square subsystem, and
-    keeps feasible solutions.
+    Takes the arguments of solve_lp.  Builds the full list of
+    inequality/equality facets (rows and x_j >= 0 for every variable that is
+    not free), solves every square subsystem, and keeps feasible solutions.
     Only meaningful for small, bounded, feasible problems.
     """
-    n = problem.objective.size
+    objective = np.asarray(objective, dtype=float)
+    n = objective.size
     eq_rows = []
     ineq_rows = []  # (a, b) meaning a @ x <= b
-    for a, b, s in zip(problem.constraints, problem.rhs, problem.senses):
+    for a, b, s in zip(constraints, rhs, senses):
         if s == "=":
             eq_rows.append((a, b))
         else:
             ineq_rows.append((a, b))
-    for j, free in enumerate(problem.free):
-        if not free:
+    for j, is_free in enumerate(free or [False] * n):
+        if not is_free:
             e = np.zeros(n)
             e[j] = 1.0
             ineq_rows.append((-e, 0.0))
@@ -47,50 +48,45 @@ def lp_vertex_oracle(problem, feas_tol=1e-7):
             continue
         x = np.linalg.solve(M, np.array(rhs))
         if feasible(x):
-            v = float(problem.objective @ x)
+            v = float(objective @ x)
             if best is None or v > best:
                 best = v
     return best
 
 
 def test_bounded_single_variable():
-    p = LpProblem.build([1.0], [[1.0]], [3.0], ["<="])
-    res = solve_lp(p)
+    res = solve_lp([1.0], [[1.0]], [3.0], ["<="])
     assert res.status == "optimal"
     assert res.value == pytest.approx(3.0, abs=1e-9)
     assert res.x[0] == pytest.approx(3.0, abs=1e-9)
 
 
 def test_unbounded():
-    p = LpProblem.build([1.0], np.zeros((0, 1)), [], [])
-    res = solve_lp(p)
+    res = solve_lp([1.0], np.zeros((0, 1)), [], [])
     assert res.status == "unbounded"
 
 
 def test_infeasible():
-    p = LpProblem.build([1.0], [[1.0]], [-1.0], ["<="])
-    res = solve_lp(p)
+    res = solve_lp([1.0], [[1.0]], [-1.0], ["<="])
     assert res.status == "infeasible"
 
 
 def test_equality_and_free_variables():
     # max x1 + x2 with x1 + x2 = 1, x1 free, 0 <= x2 <= 0.25
-    p = LpProblem.build(
+    res = solve_lp(
         [1.0, 1.0],
         [[1.0, 1.0], [0.0, 1.0]],
         [1.0, 0.25],
         ["=", "<="],
         free=[True, False],
     )
-    res = solve_lp(p)
     assert res.status == "optimal"
     assert res.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_negative_lower_bound():
     # max -x subject to x >= -2  ->  x = -2: a free x with the row -x <= 2
-    p = LpProblem.build([-1.0], [[-1.0]], [2.0], ["<="], free=[True])
-    res = solve_lp(p)
+    res = solve_lp([-1.0], [[-1.0]], [2.0], ["<="], free=[True])
     assert res.status == "optimal"
     assert res.x[0] == pytest.approx(-2.0, abs=1e-9)
     assert res.value == pytest.approx(2.0, abs=1e-9)
@@ -98,13 +94,13 @@ def test_negative_lower_bound():
 
 def test_upper_bounded_only_variable():
     # max x subject to x <= 5 (no lower bound): a free x with the row x <= 5
-    p = LpProblem.build([1.0], [[1.0]], [5.0], ["<="], free=[True])
-    res = solve_lp(p)
+    res = solve_lp([1.0], [[1.0]], [5.0], ["<="], free=[True])
     assert res.status == "optimal"
     assert res.value == pytest.approx(5.0, abs=1e-9)
 
 
 def _random_bounded_lp(rng):
+    """solve_lp arguments of a bounded, feasible random LP."""
     n = int(rng.integers(1, 7))
     m = int(rng.integers(1, 9))
     A = rng.normal((m, n))
@@ -112,22 +108,23 @@ def _random_bounded_lp(rng):
     b = A @ x0 + np.abs(rng.normal(m)) + 0.1
     c = rng.normal(n)
     ub = np.abs(rng.normal(n)) * 3.0 + 1.0  # x <= ub as n more rows
-    return LpProblem.build(c, np.vstack([A, np.eye(n)]), np.concatenate([b, ub]), ["<="] * (m + n))
+    return c, np.vstack([A, np.eye(n)]), np.concatenate([b, ub]), ["<="] * (m + n)
 
 
 def test_agrees_with_vertex_enumeration_oracle():
     rng = RngStream(20240601)
     for trial in range(120):
-        p = _random_bounded_lp(rng.substream("lp", trial))
-        res = solve_lp(p)
+        lp = _random_bounded_lp(rng.substream("lp", trial))
+        res = solve_lp(*lp)
         assert res.status == "optimal", f"trial {trial}: {res.status}"
-        oracle = lp_vertex_oracle(p)
+        oracle = lp_vertex_oracle(*lp)
         assert oracle is not None
         assert res.value == pytest.approx(oracle, abs=1e-8), f"trial {trial}"
         # returned point is feasible
-        assert np.all(p.constraints @ res.x <= p.rhs + 1e-8)
+        c, A, b, _ = lp
+        assert np.all(A @ res.x <= b + 1e-8)
         assert np.all(res.x >= -1e-8)
-        assert res.value == pytest.approx(float(p.objective @ res.x), abs=1e-9)
+        assert res.value == pytest.approx(float(c @ res.x), abs=1e-9)
 
 
 def test_equality_constrained_against_oracle():
@@ -141,19 +138,17 @@ def test_equality_constrained_against_oracle():
         b = A @ x0
         c = sub.normal(n)
         ub = np.abs(sub.normal(n)) * 2 + np.abs(x0) + 0.5  # x <= ub as n more rows
-        p = LpProblem.build(
-            c, np.vstack([A, np.eye(n)]), np.concatenate([b, ub]), ["="] * m + ["<="] * n
-        )
-        res = solve_lp(p)
+        lp = (c, np.vstack([A, np.eye(n)]), np.concatenate([b, ub]), ["="] * m + ["<="] * n)
+        res = solve_lp(*lp)
         assert res.status == "optimal"
-        oracle = lp_vertex_oracle(p)
+        oracle = lp_vertex_oracle(*lp)
         assert res.value == pytest.approx(oracle, abs=1e-8), f"trial {trial}"
 
 
 def test_deterministic_resolve():
-    p = _random_bounded_lp(RngStream(5))
-    r1 = solve_lp(p)
-    r2 = solve_lp(p)
+    lp = _random_bounded_lp(RngStream(5))
+    r1 = solve_lp(*lp)
+    r2 = solve_lp(*lp)
     assert r1.value == r2.value
     assert np.array_equal(r1.x, r2.x)
     assert r1.iterations == r2.iterations

@@ -158,6 +158,9 @@ class TestEstimateQ:
         bad = np.full(4, 0.5)  # unit norm but spread: not in S_gamma at gamma=1
         with pytest.raises(DomainError):
             estimate_Q(spec, D.matrix, [bad], SgammaParams(1.0, 1), 0.5, 100, RngStream(0))
+        e1 = np.array([1.0, 0, 0, 0])
+        with pytest.raises(DomainError, match="samples must be at least 1"):
+            estimate_Q(spec, D.matrix, [e1], SgammaParams(0.5, 1), 0.5, 0, RngStream(0))
 
     def test_dominates_small_ball_bound(self):
         # identity dictionary: every probe has ||D x|| = 1 = eta, so the
@@ -189,6 +192,8 @@ class TestEstimateW:
         assert est.mean == 0.0
         with pytest.raises(DomainError, match="s = 7 exceeds the row length n = 6"):
             estimate_W(spec, D.matrix, SgammaParams(0.5, 7), 4, 500, RngStream(73))
+        with pytest.raises(DomainError, match="samples must be at least 1"):
+            estimate_W(spec, D.matrix, SgammaParams(0.5, 1), 4, 0, RngStream(73))
 
     def test_gaussian_rows_match_plain_width(self):
         # standard Gaussian rows: the signed average is again standard normal,

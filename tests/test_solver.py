@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from nsplab import solver
 from nsplab.dictionary import make_dictionary
 from nsplab.errors import DomainError
 from nsplab.nsp import certify_nsp
 from nsplab.rng import RngStream
 from nsplab.solver import (
     RecoveryBoundInputs,
-    RecoveryProblem,
     RecoveryResult,
-    SplitParams,
     best_s_term_error,
     evaluate_recovery,
     solve_bp_lp,
@@ -21,21 +20,21 @@ from nsplab.subgaussian import make_spec, sample_measurement_matrix
 from oracles import soft_threshold
 
 
-def reference_l1_synthesis(p: RecoveryProblem, params: SplitParams = SplitParams()) -> RecoveryResult:
+def reference_l1_synthesis(B, y, eps) -> RecoveryResult:
     """The splitting loop with every residual and norm formed on every iteration.
 
     Test-only reference: `solve_l1_synthesis` forms the dual residual only
     when a test reads it and takes norms as sqrt(v @ v), and must match this
-    loop bit for bit.  The only addition is the penalty-change counter.
+    loop bit for bit.  The only addition is the penalty-change counter.  It
+    reads the same module constants of `nsplab.solver`.
     """
-    B, y, eps = p.B, p.y, p.eps
     m, n = B.shape
     x_ls, *_ = np.linalg.lstsq(B, y, rcond=None)
     dist = float(np.linalg.norm(y - B @ x_ls))
     if dist > eps + 1e-7 * max(1.0, float(np.linalg.norm(y))) + 1e-9:
         return RecoveryResult(None, None, None, 0, "infeasible")
 
-    rho = params.step
+    rho = solver.STEP
     changes = 0
     solve_ridge = np.linalg.inv(np.eye(n) + B.T @ B)
     x = np.zeros(n)
@@ -44,7 +43,7 @@ def reference_l1_synthesis(p: RecoveryProblem, params: SplitParams = SplitParams
     u_z = np.zeros(n)
     u_r = np.zeros(m)
     sqrt_dims = math.sqrt(n + m)
-    for it in range(1, params.max_iter + 1):
+    for it in range(1, solver.MAX_ITER + 1):
         x = solve_ridge @ ((z - u_z) + B.T @ (y - r + u_r))
         bx = B @ x
         z_old, r_old = z, r
@@ -68,8 +67,8 @@ def reference_l1_synthesis(p: RecoveryProblem, params: SplitParams = SplitParams
             1.0,
         )
         scale_dual = max(rho * math.hypot(float(np.linalg.norm(u_z)), float(np.linalg.norm(u_r))), 1.0)
-        eps_pri = sqrt_dims * params.tol_abs + params.tol_rel * scale_pri
-        eps_dual = sqrt_dims * params.tol_abs + params.tol_rel * scale_dual
+        eps_pri = sqrt_dims * solver.TOL_ABS + solver.TOL_REL * scale_pri
+        eps_dual = sqrt_dims * solver.TOL_ABS + solver.TOL_REL * scale_dual
         if pri < eps_pri and dual < eps_dual:
             return RecoveryResult(
                 x_hat=x,
@@ -79,7 +78,7 @@ def reference_l1_synthesis(p: RecoveryProblem, params: SplitParams = SplitParams
                 status="converged",
                 penalty_changes=changes,
             )
-        if it % 10 == 0 and it <= params.adapt_iters:
+        if it % 10 == 0 and it <= solver.ADAPT_ITERS:
             if pri > 10.0 * dual:
                 rho *= 2.0
                 u_z /= 2.0
@@ -94,7 +93,7 @@ def reference_l1_synthesis(p: RecoveryProblem, params: SplitParams = SplitParams
         x_hat=x,
         objective=float(np.abs(x).sum()),
         residual_norm=float(np.linalg.norm(y - B @ x)),
-        iterations=params.max_iter,
+        iterations=solver.MAX_ITER,
         status="max_iter",
         penalty_changes=changes,
     )
@@ -191,7 +190,7 @@ class TestBasisPursuitLp:
 class TestSplitting:
     def test_identity_noiseless(self):
         y = RngStream(82).normal(6)
-        res = solve_l1_synthesis(RecoveryProblem(np.eye(6), y, 0.0))
+        res = solve_l1_synthesis(np.eye(6), y)
         assert res.status == "converged"
         assert np.allclose(res.x_hat, y, atol=1e-8)
 
@@ -200,7 +199,7 @@ class TestSplitting:
         B = rng.normal((4, 7))
         y = rng.normal(4)
         eps = float(np.linalg.norm(y)) * 1.5
-        res = solve_l1_synthesis(RecoveryProblem(B, y, eps))
+        res = solve_l1_synthesis(B, y, eps)
         assert res.status == "converged"
         assert np.abs(res.x_hat).sum() <= 1e-7
 
@@ -213,14 +212,14 @@ class TestSplitting:
             x0[sub.permutation(12)[:2]] = sub.normal(2)
             eps = 0.05
             y = B @ x0 + eps * sub.unit_vector(6)
-            res = solve_l1_synthesis(RecoveryProblem(B, y, eps))
+            res = solve_l1_synthesis(B, y, eps)
             assert res.status == "converged"
             assert res.residual_norm <= eps + 1e-6
 
     def test_infeasible_ball(self):
         B = np.array([[1.0, 0.0], [0.0, 0.0]])  # range is the x-axis
         y = np.array([0.0, 1.0])
-        res = solve_l1_synthesis(RecoveryProblem(B, y, 0.1))
+        res = solve_l1_synthesis(B, y, 0.1)
         assert res.status == "infeasible"
 
     def test_matches_lp_objective_noiseless(self):
@@ -232,17 +231,36 @@ class TestSplitting:
             x0[sub.permutation(40)[:3]] = sub.normal(3)
             y = B @ x0
             lp = solve_bp_lp(B, y)
-            admm = solve_l1_synthesis(RecoveryProblem(B, y, 0.0))
+            admm = solve_l1_synthesis(B, y)
             assert admm.status == "converged"
             assert admm.objective == pytest.approx(lp.objective, abs=1e-6)
 
-    def test_params_are_honored(self):
+    def test_params_are_honored(self, monkeypatch):
         rng = RngStream(86)
         B = rng.normal((5, 10))
         y = B @ np.eye(10)[0]
-        res = solve_l1_synthesis(RecoveryProblem(B, y, 0.0), SplitParams(max_iter=3))
+        monkeypatch.setattr(solver, "MAX_ITER", 3)
+        res = solve_l1_synthesis(B, y)
         assert res.status == "max_iter"
         assert res.iterations == 3
+
+
+@pytest.mark.parametrize(
+    "solve, args",
+    [
+        (solve_bp_lp, (np.eye(3), np.ones(2))),
+        (solve_l1_synthesis, (np.eye(3), np.ones(2))),
+        (solve_l1_synthesis, (np.eye(3), np.ones(3), -0.1)),
+        (solve_l1_synthesis, (np.eye(3), np.ones(3), math.nan)),
+        (solve_bp_lp, (np.ones(3), np.ones(3))),
+        (solve_l1_synthesis, (np.eye(3), np.array([1.0, math.inf, 0.0]))),
+    ],
+    ids=["lp-y-length", "splitting-y-length", "splitting-eps-negative", "splitting-eps-nan",
+         "lp-B-1d", "splitting-y-infinite"],
+)
+def test_recovery_routes_share_input_check(solve, args):
+    with pytest.raises(DomainError):
+        solve(*args)
 
 
 def _planted(seed, m, n, s, eps):
@@ -257,48 +275,52 @@ def _planted(seed, m, n, s, eps):
 
 
 def _bit_identity_cases():
-    # (label, seed, m, n, s, eps, params); eps = None puts eps at 1.5 ||y||
+    # (label, seed, m, n, s, eps, settings); eps = None puts eps at 1.5 ||y||;
+    # settings override module constants of nsplab.solver for the case
     cases = []
     for i, (m, n) in enumerate([(8, 16), (10, 18), (20, 40), (6, 12)]):
-        cases.append((f"noiseless-{m}x{n}", 200 + i, m, n, 2, 0.0, SplitParams()))
+        cases.append((f"noiseless-{m}x{n}", 200 + i, m, n, 2, 0.0, {}))
     for i, (m, n, eps) in enumerate(
         [(8, 16, 0.01), (10, 18, 0.05), (20, 40, 0.01), (12, 30, 0.05), (6, 12, 0.1), (16, 40, 0.01)]
     ):
-        cases.append((f"ball-{m}x{n}-eps{eps}", 210 + i, m, n, 3, eps, SplitParams()))
+        cases.append((f"ball-{m}x{n}-eps{eps}", 210 + i, m, n, 3, eps, {}))
     for i in range(2):
-        cases.append((f"eps-above-norm-{i}", 220 + i, 6, 12, 2, None, SplitParams()))
-    cases.append(("max-iter-cut", 230, 10, 18, 3, 0.05, SplitParams(max_iter=150)))
-    cases.append(("max-iter-cut-noiseless", 231, 8, 16, 2, 0.0, SplitParams(max_iter=50)))
-    cases.append(("short-adapt", 232, 6, 12, 2, 0.05, SplitParams(adapt_iters=40)))
-    cases.append(("small-step", 233, 10, 18, 3, 0.01, SplitParams(step=0.05)))
-    cases.append(("large-step", 234, 8, 16, 2, 0.0, SplitParams(step=20.0)))
-    cases.append(("loose-tol", 235, 20, 40, 3, 0.01, SplitParams(tol_abs=1e-8, tol_rel=1e-6)))
-    cases.append(("no-adapt", 236, 6, 12, 2, 0.05, SplitParams(adapt_iters=0)))
-    cases.append(("adapt-every-iteration", 237, 8, 16, 2, 0.05, SplitParams(adapt_iters=50_000)))
+        cases.append((f"eps-above-norm-{i}", 220 + i, 6, 12, 2, None, {}))
+    cases.append(("max-iter-cut", 230, 10, 18, 3, 0.05, {"MAX_ITER": 150}))
+    cases.append(("max-iter-cut-noiseless", 231, 8, 16, 2, 0.0, {"MAX_ITER": 50}))
+    cases.append(("short-adapt", 232, 6, 12, 2, 0.05, {"ADAPT_ITERS": 40}))
+    cases.append(("small-step", 233, 10, 18, 3, 0.01, {"STEP": 0.05}))
+    cases.append(("large-step", 234, 8, 16, 2, 0.0, {"STEP": 20.0}))
+    cases.append(("loose-tol", 235, 20, 40, 3, 0.01, {"TOL_ABS": 1e-8, "TOL_REL": 1e-6}))
+    cases.append(("no-adapt", 236, 6, 12, 2, 0.05, {"ADAPT_ITERS": 0}))
+    cases.append(("adapt-every-iteration", 237, 8, 16, 2, 0.05, {"ADAPT_ITERS": 50_000}))
     return cases
 
 
 class TestSplittingBitIdentity:
-    def test_matches_reference_loop(self):
+    def test_matches_reference_loop(self, monkeypatch):
         results = {}
-        for label, seed, m, n, s, eps, params in _bit_identity_cases():
+        for label, seed, m, n, s, eps, settings in _bit_identity_cases():
             B, y = _planted(seed, m, n, s, eps or 0.0)
             if eps is None:
                 eps = 1.5 * float(np.linalg.norm(y))
-            p = RecoveryProblem(B, y, eps)
-            got = solve_l1_synthesis(p, params)
-            want = reference_l1_synthesis(p, params)
+            with monkeypatch.context() as patch:
+                for name, value in settings.items():
+                    patch.setattr(solver, name, value)
+                got = solve_l1_synthesis(B, y, eps)
+                want = reference_l1_synthesis(B, y, eps)
+                adapt_iters = solver.ADAPT_ITERS
             assert got.status == want.status, label
             assert got.iterations == want.iterations, label
             assert got.penalty_changes == want.penalty_changes, label
             assert got.x_hat.tobytes() == want.x_hat.tobytes(), label
             assert got.objective == want.objective, label
             assert got.residual_norm == want.residual_norm, label
-            results[label] = (got, eps, params)
+            results[label] = (got, eps, adapt_iters)
         # the cases reach every branch the rewrite touches
         assert any(
-            r.status == "converged" and r.iterations > params.adapt_iters
-            for r, _, params in results.values()
+            r.status == "converged" and r.iterations > adapt_iters
+            for r, _, adapt_iters in results.values()
         )
         assert {r.status for r, _, _ in results.values()} == {"converged", "max_iter"}
         assert results["max-iter-cut"][0].iterations == 150
@@ -327,7 +349,7 @@ class TestSplittingOracle:
     def test_oracle_certifies_its_own_optimum(self):
         # the certified point sits on the ball's boundary and certifies itself
         B, y = _planted(251, 10, 18, 2, 0.05)
-        res = solve_l1_synthesis(RecoveryProblem(B, y, 0.05))
+        res = solve_l1_synthesis(B, y, 0.05)
         x, certified = certified_optimum(B, y, 0.05, res.x_hat)
         assert certified
         assert np.linalg.norm(y - B @ x) == pytest.approx(0.05, rel=1e-12)
@@ -335,14 +357,14 @@ class TestSplittingOracle:
 
     def test_oracle_rejects_a_wrong_sign_pattern(self):
         B, y = _planted(252, 10, 18, 2, 0.05)
-        res = solve_l1_synthesis(RecoveryProblem(B, y, 0.05))
+        res = solve_l1_synthesis(B, y, 0.05)
         _, certified = certified_optimum(B, y, 0.05, -res.x_hat)
         assert not certified
 
     def test_admm_within_documented_accuracy_of_certified_optimum(self):
         eps = 0.01
         for B, y in _phase_problems():
-            res = solve_l1_synthesis(RecoveryProblem(B, y, eps))
+            res = solve_l1_synthesis(B, y, eps)
             assert res.status == "converged"
             x, certified = certified_optimum(B, y, eps, res.x_hat)
             assert certified
