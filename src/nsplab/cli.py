@@ -50,7 +50,7 @@ def _cmd_recover(args) -> int:
     B = read_matrix_text(args.B)
     y = read_vector_text(args.y)
     if args.method == "lp":
-        if args.eps > 0:
+        if not args.eps == 0.0:  # also refuses NaN
             raise NsplabError("the lp method is exact basis pursuit: eps must be 0")
         result = solve_bp_lp(B, y)
     else:

@@ -9,9 +9,12 @@ maximum over the polytope {x in ker A : ||x||_1 <= 1} sits at an extreme
 point, and the extreme points are the normalized circuits (kernel vectors of
 minimal support).  So gamma_star is the largest ratio over the circuits,
 with T the s largest entries, and certify_nsp enumerates them: each
-(k-1)-subset of coordinates, k = dim ker A, pins down at most one, read off
-the last column of a full QR factorization, C(n, k-1) candidates in all.
-When that count exceeds the budget, the LP route runs instead if its
+(k-1)-subset of coordinates, k = dim ker A, pins down at most one,
+C(n, k-1) candidates in all.  Each is the null vector of a small block,
+taken from the kernel basis or, when it is the smaller side, from its
+orthonormal complement, and formed from the Householder reflectors of the
+block's QR factorization without building Q.
+When C(n, k-1) exceeds the budget, the LP route runs instead if its
 C(n, s) 2^(s-1) support LPs fit: for each support and sign pattern, a small
 LP over the kernel parametrization maximizes the signed head mass subject
 to unit tail mass.  Past both budgets the certificate is refused; the
@@ -41,7 +44,8 @@ from .rng import RngStream
 from .simplex import solve_lp
 
 CERT_BUDGET = 10**6      # circuit candidates or LPs, whichever route runs
-_CIRCUIT_CHUNK = 64      # (k-1)-subsets per batched QR
+_CIRCUIT_CHUNK = 256     # (k-1)-subsets per batched QR: fewer numpy calls than 64 at
+                         # peak memory within 1% of it on preserve; 2048 adds ~2 MB
 _ETA_STEP = 1e-2         # estimate_eta: first and largest gradient step
 _ETA_MAX_ITER = 10_000   # estimate_eta: gradient steps per restart
 _ETA_CONV_TOL = 1e-9     # estimate_eta: stop once a step moves x less than this
@@ -130,43 +134,81 @@ def _support_lp(N, T, signs, n):
     return res.value, N @ res.x[:k]
 
 
+def _orthogonal_unit_vectors(M):
+    """A unit vector orthogonal to the p columns of each (p+1) x p block of M.
+
+    LAPACK geqrf factors each block as M = Q R with Q = H_1 ... H_p, a product
+    of Householder reflectors, and R upper triangular, so R's last row is
+    zero and M^T q = R^T Q^T q = R^T e_{p+1} = 0 for q = Q e_{p+1}, whatever
+    the rank of M.  q is formed by applying H_p, ..., H_1 to e_{p+1}, one
+    reflector per step across the whole stack; Q itself is never built.
+    M has shape (c, p+1, p); the result has shape (c, p+1).
+    """
+    c, p1, p = M.shape
+    q = np.zeros((c, p1))
+    q[:, p] = 1.0
+    h, tau = np.linalg.qr(M, mode="raw")
+    # h[:, j] is column j of the factored block: R above the diagonal, and
+    # below it the tail of H_j's vector, whose entry j is an implicit 1.
+    for j in range(p - 1, -1, -1):
+        v = h[:, j, j + 1 :]
+        w = tau[:, j] * (q[:, j] + np.einsum("ij,ij->i", v, q[:, j + 1 :]))
+        q[:, j] -= w
+        q[:, j + 1 :] -= w[:, None] * v
+    return q
+
+
 def _certify_circuits(N, s):
     """gamma_star as the largest head/tail ratio over the kernel's circuits.
 
-    Each (k-1)-subset Z of coordinates yields the kernel vector N c with
-    N[Z] c = 0.  When N[Z] has rank k-1 that vector is the circuit vanishing
-    on Z, and every circuit arises this way; otherwise it is some other
-    kernel vector, which cannot exceed gamma_star.  Subsets are taken
-    _CIRCUIT_CHUNK at a time, so memory stays flat in C(n, k-1).
+    Each (k-1)-subset Z of coordinates yields a unit kernel vector x with
+    x_Z = 0.  When the kernel vectors vanishing on Z form a line, x is the
+    circuit on that line, and every circuit arises this way; otherwise it is
+    some other kernel vector, which cannot exceed gamma_star.  Subsets are
+    taken _CIRCUIT_CHUNK at a time, so memory stays flat in C(n, k-1).
 
-    c is the last column q_k of a full QR factorization N[Z]^T = Q R.  R is
-    k x (k-1) upper triangular, so its last row is zero, and
-    N[Z] q_k = R^T Q^T q_k = R^T e_k = 0: q_k is a unit null vector of N[Z]
-    whatever its rank.
+    x is the null vector of a p x (p+1) block, taken from whichever side
+    of the kernel is smaller:
+    * kernel side, p = k-1: x = N q with N[Z] q = 0;
+    * row-space side, p = n-k, when n-k < k-1: with R the orthonormal
+      complement of N, x is q scattered onto W = [n] minus Z, where
+      R[W]^T q = 0, since the kernel is the set of x with R^T x = 0.
+    Both sides walk the same subsets in the same order.  An infinite ratio
+    ends the walk, and the count of candidates evaluated stops at it.
     Returns (gamma_star, T, witness, candidates evaluated).
     """
     n, k = N.shape
+    row_side = n - k < k - 1
+    if row_side:
+        R = np.linalg.qr(N, mode="complete")[0][:, k:]
     subsets = itertools.combinations(range(n), k - 1)
     best, best_x, evaluated = -1.0, None, 0
     while True:
         chunk = list(itertools.islice(subsets, _CIRCUIT_CHUNK))
         if not chunk:
             break
-        B = N[np.array(chunk, dtype=np.intp)]
-        X = np.linalg.qr(B.transpose(0, 2, 1), mode="complete")[0][:, :, -1] @ N.T
+        Z = np.array(chunk, dtype=np.intp)
+        if row_side:
+            keep = np.ones((len(chunk), n), dtype=bool)
+            keep[np.arange(len(chunk))[:, None], Z] = False
+            W = np.nonzero(keep)[1].reshape(len(chunk), n - k + 1)
+            X = np.zeros((len(chunk), n))
+            X[keep] = _orthogonal_unit_vectors(R[W]).ravel()
+        else:
+            X = _orthogonal_unit_vectors(N[Z].transpose(0, 2, 1)) @ N.T
         a = np.sort(np.abs(X), axis=1)
         tail = a[:, : n - s].sum(axis=1)
         head = a[:, n - s :].sum(axis=1)
         with np.errstate(divide="ignore"):
             ratio = np.where(tail > RANK_TOL * (head + tail), head / tail, math.inf)
-        evaluated += len(chunk)
         i = int(np.argmax(ratio))
+        if ratio[i] == math.inf:
+            best, best_x = math.inf, X[i]
+            evaluated += i + 1
+            break
+        evaluated += len(chunk)
         if ratio[i] > best:
-            best = float(ratio[i])
-            if best == math.inf:
-                best_x = X[i]
-                break
-            best_x = X[i] / tail[i]
+            best, best_x = float(ratio[i]), X[i] / tail[i]
     T = tuple(sorted(int(j) for j in np.argsort(-np.abs(best_x), kind="stable")[:s]))
     return best, T, best_x, evaluated
 

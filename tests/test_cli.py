@@ -173,6 +173,19 @@ def test_recover_lp_method(tmp_path, capsys):
     assert payload["objective"] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("eps", ["-1", "nan", "0.5"])
+def test_recover_lp_method_refuses_nonzero_eps(tmp_path, capsys, eps):
+    write_matrix_text(tmp_path / "B.txt", np.eye(3))
+    write_vector_text(tmp_path / "y.txt", np.array([1.0, 0.0, 0.0]))
+    code, out, err = run_cli(
+        capsys, "recover", "--B", str(tmp_path / "B.txt"), "--y", str(tmp_path / "y.txt"),
+        "--method", "lp", "--eps", eps,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "eps must be 0" in err
+
+
 def test_preserve_from_config_and_seed_override(tmp_path, capsys):
     cfg = {
         "experiment": "preserve_nsp", "d": 5, "n": 7, "s": 1, "gamma": 0.9,

@@ -8,6 +8,7 @@ from nsplab.errors import BudgetExceededError, NotFullSparkError
 from nsplab.nsp import (
     SgammaParams,
     _certify_lp,
+    _orthogonal_unit_vectors,
     certificate_to_json,
     certify_nsp,
     d_nsp_check,
@@ -177,6 +178,8 @@ def _oracle_cases():
         "block-diagonal": np.array(
             [[1.0, 1.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, 2.0, 3.0]]
         ),
+        "row-space-side": rng.normal((2, 8)),  # n-k = 2 < k-1 = 5
+        "rank-deficient": rng.normal((4, 2)) @ rng.normal((2, 8)),  # rank 2, k = 6
     }
 
 
@@ -190,10 +193,26 @@ class TestCircuitsVsLp:
     def test_degenerate_inputs(self, name):
         A = ORACLE_CASES[name]
         n = A.shape[1]
+        k = kernel_basis(A).shape[1]
         for s in sorted({1, 2, 3, n}):
             cert = certify_nsp(A, s)
             assert cert.method == "circuits"
             assert_same_gamma(cert.gamma_star, lp_gamma_star(A, s))
+            if k == 0:
+                assert cert.witness is None
+                continue
+            # the witness contract, and one candidate per (k-1)-subset
+            w, T = cert.witness, list(cert.witness_support)
+            assert len(T) == s
+            assert np.linalg.norm(A @ w) <= 1e-9 * max(np.linalg.norm(A), 1.0) * np.abs(w).sum()
+            tail = np.abs(np.delete(w, T)).sum()
+            if math.isinf(cert.gamma_star):
+                assert 1 <= cert.evaluated <= math.comb(n, k - 1)
+                assert np.abs(w).sum() > 0 and tail <= 1e-9 * np.abs(w).sum()
+            else:
+                assert cert.evaluated == math.comb(n, k - 1)
+                assert tail == pytest.approx(1.0, abs=1e-9)
+                assert np.abs(w[T]).sum() == pytest.approx(cert.gamma_star, abs=1e-9)
 
     def test_random_matrices(self):
         rng = RngStream(41)
@@ -220,6 +239,41 @@ class TestCircuitsVsLp:
             T = list(lp.witness_support)
             assert np.abs(np.delete(lp.witness, T)).sum() == pytest.approx(1.0, abs=1e-7)
             assert np.abs(lp.witness[T]).sum() == pytest.approx(lp.gamma_star, abs=1e-7)
+
+
+    def test_forced_lp_fallback_on_each_side(self):
+        # full row rank m x n has k = n - m; the row-space side runs iff n-k < k-1
+        rng = RngStream(43)
+        for m, n in ((2, 8), (3, 7), (4, 8)):  # n-k = 2 < 5, 3 = 3, 4 > 3
+            A = rng.normal((m, n))
+            circuits = math.comb(n, n - m - 1)
+            for s in (1, 2):
+                lps = math.comb(n, s) * 2 ** (s - 1)
+                if lps >= circuits:
+                    continue
+                circ, lp = certify_nsp(A, s), certify_nsp(A, s, budget=lps)
+                assert (circ.method, circ.evaluated) == ("circuits", circuits)
+                assert (lp.method, lp.evaluated) == ("lp", lps)
+                assert_same_gamma(circ.gamma_star, lp.gamma_star)
+
+
+class TestCircuitCandidates:
+    def test_candidate_order(self):
+        # the first (k-1)-subset is (0, 1, 2), and the candidate vanishing on it is e_3
+        cert = certify_nsp(np.zeros((2, 4)), 1)
+        assert cert.gamma_star == math.inf
+        assert cert.witness_support == (3,) and cert.evaluated == 1
+
+    def test_reflector_sweep_matches_complete_qr(self):
+        rng = RngStream(44)
+        for p in range(7):
+            M = rng.substream(p).normal((5, p + 1, p))
+            if p >= 2:
+                M[0, :, 1] = M[0, :, 0]  # rank deficient
+            q = _orthogonal_unit_vectors(M)
+            ref = np.linalg.qr(M, mode="complete")[0][:, :, -1]
+            np.testing.assert_allclose(q, ref, atol=1e-14)
+            np.testing.assert_allclose(np.einsum("cij,ci->cj", M, q), 0.0, atol=1e-14)
 
 
 # Phi @ D of the preserve campaign with config seed 14011, m = 6, trial 1.
