@@ -187,7 +187,10 @@ def _certify_circuits(N, s):
         chunk = list(itertools.islice(subsets, _CIRCUIT_CHUNK))
         if not chunk:
             break
-        Z = np.array(chunk, dtype=np.intp)
+        # explicit shape: at k = 1 the chunk is one empty subset, a (1, 0) array
+        Z = np.fromiter(
+            itertools.chain.from_iterable(chunk), np.intp, len(chunk) * (k - 1)
+        ).reshape(len(chunk), k - 1)
         if row_side:
             keep = np.ones((len(chunk), n), dtype=bool)
             keep[np.arange(len(chunk))[:, None], Z] = False

@@ -36,13 +36,14 @@ def as_vector(a) -> np.ndarray:
 
 
 def nonincreasing_rearrangement(x) -> np.ndarray:
-    """Absolute values of x sorted in nonincreasing order."""
+    """Absolute values of x sorted in nonincreasing order (row-wise for 2-D
+    input, as the Monte Carlo width estimators use it).  Returns a reversed
+    view of a fresh array; x itself is left unchanged."""
     v = np.abs(np.asarray(x, dtype=float))
-    if v.ndim == 1:
-        return np.sort(v)[::-1].copy()
-    if v.ndim == 2:  # row-wise, used by the Monte Carlo width estimators
-        return np.sort(v, axis=1)[:, ::-1].copy()
-    raise DomainError(f"expected a 1-D or 2-D array, got shape {v.shape}")
+    if v.ndim not in (1, 2):
+        raise DomainError(f"expected a 1-D or 2-D array, got shape {v.shape}")
+    v.sort(axis=-1)
+    return v[..., ::-1]
 
 
 def operator_norm(a) -> float:

@@ -50,10 +50,17 @@ class RngStream:
         shape = (size,) if isinstance(size, int) else tuple(size)
         count = int(np.prod(shape)) if shape else 1
         half = (count + 1) // 2
-        u1 = 1.0 - self._gen.random(half)  # (0, 1], keeps the log finite
-        u2 = self._gen.random(half)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        z = np.concatenate([radius * np.cos(_TWO_PI * u2), radius * np.sin(_TWO_PI * u2)])
+        # sqrt(-2 log u1) with u1 in (0, 1], which keeps the log finite; each
+        # step runs in place, and the two products land in one output array
+        radius = np.subtract(1.0, self._gen.random(half))
+        angle = self._gen.random(half)
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle *= _TWO_PI
+        z = np.empty(2 * half)
+        np.multiply(radius, np.cos(angle), out=z[:half])
+        np.multiply(radius, np.sin(angle), out=z[half:])
         return z[:count].reshape(shape)
 
     def signs(self, size=None):

@@ -32,7 +32,7 @@ from .nsp import SgammaParams, in_S_gamma
 from .numerics import as_matrix
 from .rng import RngStream
 from .subgaussian import SubgaussianSpec, sample_measurement_matrix
-from .width import WidthEstimate, cone_projection_values
+from .width import WidthEstimate, _projection_values
 
 FORMULA_IDS = ("thm_S", "thm_main", "cor_non", "cor_sgauss", "thm_main_gauss")
 
@@ -199,17 +199,14 @@ def estimate_W(
         raise DomainError("samples must be at least 1")
     M = as_matrix(D)
     d = M.shape[0]
-    vals = []
-    done = 0
-    block_cap = max(1, _SAMPLE_BLOCK // max(m, 1))
-    while done < samples:
-        block = min(block_cap, samples - done)
+    v = np.empty(samples)
+    block_cap = max(1, _SAMPLE_BLOCK // m)
+    for i in range(0, samples, block_cap):
+        block = min(block_cap, samples - i)
         phi = sample_measurement_matrix(spec, block * m, d, rng).reshape(block, m, d)
         eps = rng.signs((block, m))
         h = np.einsum("bm,bmd->bd", eps, phi) / math.sqrt(m)
-        vals.append(cone_projection_values(h @ M, p))
-        done += block
-    v = np.concatenate(vals)
+        _projection_values(h, M, p, v[i : i + block])
     se = float(v.std(ddof=1) / math.sqrt(v.size)) if v.size > 1 else 0.0
     return WidthEstimate(float(v.mean()), se, int(samples), "empirical_width", None)
 

@@ -33,6 +33,10 @@ from .numerics import as_matrix, column_norm_bound, nonincreasing_rearrangement,
 from .rng import RngStream
 
 _MC_BLOCK = 20_000
+# OpenBLAS threads a gemm above 2^18 multiply-adds (interface/gemm.c).  A
+# (rows x d) @ (d x n) Monte Carlo product gains nothing from the second
+# thread, which then spins on its core for the rest of the run.
+_BLAS_SERIAL_MACS = 2**18
 
 
 @dataclass(frozen=True)
@@ -122,19 +126,30 @@ def cone_projection_values(H, p: SgammaParams) -> np.ndarray:
 dual_surrogate_values = cone_projection_values
 
 
+def _projection_values(G, M, p: SgammaParams, out: np.ndarray) -> None:
+    """Write cone_projection_values(G @ M, p) into out, one row block at a time.
+
+    A block holds at most _BLAS_SERIAL_MACS multiply-adds (at least 256 rows),
+    so BLAS runs each skinny product on one thread, and no temporary spans
+    all of G's rows.  The draws and their order are those of G; only the
+    products are cut (README "Numerical notes" on their last bits).
+    """
+    d, n = M.shape
+    rows = max(256, _BLAS_SERIAL_MACS // max(d * n, 1))
+    for i in range(0, G.shape[0], rows):
+        out[i : i + rows] = cone_projection_values(G[i : i + rows] @ M, p)
+
+
 def width_DS_gamma_mc(D, p: SgammaParams, samples: int, rng: RngStream) -> WidthEstimate:
     """Monte Carlo estimate of w(D S_gamma) for a d x n matrix D via exact
     per-draw cone projection; theory_bound uses rho = max_i ||d_i||_2^2."""
     if samples < 100:
         raise DomainError("need at least 100 samples")
     M = as_matrix(D)
-    vals = []
-    done = 0
-    while done < samples:
-        block = min(_MC_BLOCK, samples - done)
-        vals.append(cone_projection_values(rng.normal((block, M.shape[0])) @ M, p))
-        done += block
-    v = np.concatenate(vals)
+    v = np.empty(samples)
+    for i in range(0, samples, _MC_BLOCK):
+        G = rng.normal((min(_MC_BLOCK, samples - i), M.shape[0]))
+        _projection_values(G, M, p, v[i : i + G.shape[0]])
     se = float(v.std(ddof=1) / math.sqrt(v.size))
     rho = column_norm_bound(M)
     theory = theory_width_bound(p, M.shape[1], rho) if rho > 0.0 else 0.0

@@ -11,6 +11,7 @@ import math
 import mpmath
 import numpy as np
 
+import nsplab.width
 from nsplab.errors import DomainError
 from nsplab.nsp import SgammaParams
 from nsplab.numerics import (
@@ -57,6 +58,27 @@ def mp_rate(formula_id, alpha, sigma, kappa=None):
     return 1 / (128 * mpmath.e * mpmath.pi)
 
 
+def _head_sum(a, s):
+    """Per column, the sum of the s largest entries of a.
+
+    For s <= 2 the entries are picked without np.partition: the column max,
+    plus for s = 2 the largest entry left once one copy of the max is set
+    aside (a running top two, ties included).  Adding two floats commutes,
+    so the sums are bit-identical to the partition route's.
+    """
+    if s == 1:
+        return a.max(axis=0)
+    if s == 2:
+        first = a[0].copy()
+        second = np.full(a.shape[1], -np.inf)
+        for row in a[1:]:
+            np.maximum(second, np.minimum(first, row), out=second)
+            np.maximum(first, row, out=first)
+        return first + second
+    n = a.shape[0]
+    return np.partition(a, n - s, axis=0)[n - s :].sum(axis=0)
+
+
 def gamma_star_sampling_oracle(A, s, samples, rng):
     """Max of ||x_T||_1 / ||x_{T^c}||_1 over random kernel vectors.
 
@@ -73,7 +95,7 @@ def gamma_star_sampling_oracle(A, s, samples, rng):
     def ratios(C):
         # one column per probe: the per-probe reductions then run along the long axis
         a = np.abs(N @ C.T)
-        head = np.partition(a, n - s, axis=0)[n - s :].sum(axis=0)
+        head = _head_sum(a, s)
         tail = a.sum(axis=0) - head
         return np.where(tail > 0, head / np.maximum(tail, 1e-300), np.inf)
 
@@ -292,3 +314,21 @@ def spec_to_json(spec: SubgaussianSpec, covariance_path=None) -> dict:
         "C": spec.width_constant,
         "covariance_path": covariance_path,
     }
+
+
+def record_projection_calls(monkeypatch):
+    """Record the output of each cone_projection_values call in a list.
+
+    The Monte Carlo width estimators call it once per product block, by its
+    module name, as bench/tracer.py also expects.
+    """
+    seen = []
+    original = nsplab.width.cone_projection_values
+
+    def spy(H, p):
+        out = original(H, p)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(nsplab.width, "cone_projection_values", spy)
+    return seen

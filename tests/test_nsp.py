@@ -17,7 +17,7 @@ from nsplab.nsp import (
 )
 from nsplab.numerics import kernel_basis
 from nsplab.rng import RngStream
-from oracles import eta_grid_oracle, gamma_star_sampling_oracle
+from oracles import _head_sum, eta_grid_oracle, gamma_star_sampling_oracle
 
 
 class TestInSgamma:
@@ -410,3 +410,17 @@ class TestDnspRoute:
         D = make_dictionary("user_matrix", 2, 3, matrix=M)
         with pytest.raises(NotFullSparkError):
             d_nsp_check(D.matrix, np.eye(2), 1)
+
+
+class TestOracleHeadSum:
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_matches_partition_route_bit_for_bit(self, s):
+        a = np.abs(RngStream(96).normal((6, 5000)))
+        a[2, :500] = a[4, :500]  # two equal entries, often the top two
+        a[:, 500:600] = 1.0  # every entry tied
+        a[3, 600:700] = a[:, 600:700].max(axis=0)  # a second copy of the max
+        before = a.copy()
+        n = a.shape[0]
+        want = np.partition(a, n - s, axis=0)[n - s :].sum(axis=0)
+        assert _head_sum(a, s).tobytes() == want.tobytes()
+        assert a.tobytes() == before.tobytes()

@@ -32,6 +32,14 @@ class TestRearrangement:
             assert np.all(xs >= 0)
             assert np.allclose(np.sort(xs), np.sort(np.abs(x)))
 
+    @pytest.mark.parametrize("shape", [(9,), (6, 5)])
+    def test_input_left_unchanged(self, shape):
+        x = RngStream(12).normal(shape)
+        before = x.copy()
+        xs = nonincreasing_rearrangement(x)
+        assert x.tobytes() == before.tobytes()
+        assert np.array_equal(xs, np.sort(np.abs(before), axis=-1)[..., ::-1])
+
 
 class TestSoftThreshold:
     def test_examples(self):

@@ -48,3 +48,26 @@ def test_shapes_and_scalars():
 def test_permutation_is_a_permutation():
     p = RngStream(4).permutation(20)
     assert sorted(p.tolist()) == list(range(20))
+
+
+def box_muller_reference(gen, count):
+    """The Box-Muller expression RngStream.normal used before it ran in place."""
+    half = (count + 1) // 2
+    u1 = 1.0 - gen.random(half)
+    u2 = gen.random(half)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    two_pi = 2.0 * np.pi
+    return np.concatenate([radius * np.cos(two_pi * u2), radius * np.sin(two_pi * u2)])[:count]
+
+
+def test_normal_matches_reference_box_muller_bit_for_bit():
+    r = RngStream(5, 9)
+    gen = np.random.Generator(np.random.Philox(key=np.array([5, 9], dtype=np.uint64)))
+    for size, count in ((7, 7), (None, 1), ((3, 5), 15), ((2, 2, 2), 8), (100_001, 100_001)):
+        got = r.normal(size)
+        want = box_muller_reference(gen, count)
+        if size is None:
+            assert isinstance(got, float) and got == want[0]
+        else:
+            assert got.shape == ((size,) if isinstance(size, int) else size)
+            assert got.tobytes() == want.tobytes()

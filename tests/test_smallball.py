@@ -18,9 +18,9 @@ from nsplab.smallball import (
     success_probability,
     success_rate,
 )
-from nsplab.subgaussian import make_spec
-from nsplab.width import width_DS_gamma_mc
-from oracles import mp_m_min, mp_rate, small_ball_lower_bound
+from nsplab.subgaussian import make_spec, sample_measurement_matrix
+from nsplab.width import cone_projection_values, width_DS_gamma_mc
+from oracles import mp_m_min, mp_rate, record_projection_calls, small_ball_lower_bound
 
 
 STD_ALPHA = math.sqrt(2.0 / math.pi)
@@ -194,6 +194,26 @@ class TestEstimateW:
             estimate_W(spec, D.matrix, SgammaParams(0.5, 7), 4, 500, RngStream(73))
         with pytest.raises(DomainError, match="samples must be at least 1"):
             estimate_W(spec, D.matrix, SgammaParams(0.5, 1), 4, 0, RngStream(73))
+
+    def test_blocks_match_one_product_on_the_same_draws(self, monkeypatch):
+        # m = 4: draw blocks of 25000 samples, each cut into product blocks of
+        # 1872 rows (d = 10, n = 14)
+        spec = make_spec("std_gaussian", 10)
+        M = make_dictionary("gaussian_unit_norm", 10, 14, RngStream(77)).matrix
+        c = SgammaParams(0.6, 2)
+        replay = RngStream(78)
+        hs = []
+        for block in (25_000, 1000):
+            phi = sample_measurement_matrix(spec, block * 4, 10, replay).reshape(block, 4, 10)
+            eps = replay.signs((block, 4))
+            hs.append(np.einsum("bm,bmd->bd", eps, phi) / 2.0)
+        v = cone_projection_values(np.vstack(hs) @ M, c)
+        seen = record_projection_calls(monkeypatch)
+        est = estimate_W(spec, M, c, 4, 26_000, RngStream(78))
+        assert len(seen) == 14 + 1
+        assert np.concatenate(seen).tobytes() == v.tobytes()
+        assert est.mean == float(v.mean())
+        assert est.std_error == float(v.std(ddof=1) / math.sqrt(v.size))
 
     def test_gaussian_rows_match_plain_width(self):
         # standard Gaussian rows: the signed average is again standard normal,

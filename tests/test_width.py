@@ -9,6 +9,8 @@ from nsplab.nsp import SgammaParams
 from nsplab.numerics import nonincreasing_rearrangement
 from nsplab.rng import RngStream
 from nsplab.width import (
+    _MC_BLOCK,
+    _projection_values,
     cone_projection_values,
     crude_width_bound,
     project_cone_batch,
@@ -22,6 +24,7 @@ from oracles import (
     check_soft_moment,
     cone_normal,
     dykstra_projection,
+    record_projection_calls,
     soft_moment_quadrature,
 )
 
@@ -304,3 +307,35 @@ class TestSlepian:
         )
         slack = 3.0 * math.hypot(lhs_std_error, rhs_std_error)
         assert lhs <= rhs + slack
+
+
+class TestBlockedProducts:
+    # d = 10, n = 14: blocks of 2**18 // 140 = 1872 rows.  For such narrow
+    # shapes BLAS gives each row of G @ M the same bits whatever the row
+    # count; README "Numerical notes" names the wider shapes where it does not.
+
+    def test_blocks_with_a_remainder_match_one_product(self, monkeypatch):
+        rng = RngStream(55)
+        M = make_dictionary("gaussian_unit_norm", 10, 14, rng.substream("dict")).matrix
+        c = SgammaParams(0.5, 2)
+        G = rng.substream("g").normal((5000, 10))
+        expected = cone_projection_values(G @ M, c)
+        seen = record_projection_calls(monkeypatch)
+        out = np.empty(5000)
+        _projection_values(G, M, c, out)
+        assert [v.size for v in seen] == [1872, 1872, 1256]
+        assert out.tobytes() == expected.tobytes()
+
+    def test_estimator_over_several_draw_blocks(self, monkeypatch):
+        M = make_dictionary("gaussian_unit_norm", 10, 14, RngStream(56)).matrix
+        c = SgammaParams(0.8, 1)
+        samples = _MC_BLOCK + 1234
+        replay = RngStream(57)
+        G = np.vstack([replay.normal((_MC_BLOCK, 10)), replay.normal((1234, 10))])
+        v = cone_projection_values(G @ M, c)
+        seen = record_projection_calls(monkeypatch)
+        est = width_DS_gamma_mc(M, c, samples, RngStream(57))
+        assert len(seen) == 11 + 1  # 20000 = 10 * 1872 + 1280, then 1234
+        assert np.concatenate(seen).tobytes() == v.tobytes()
+        assert est.mean == float(v.mean())
+        assert est.std_error == float(v.std(ddof=1) / math.sqrt(samples))
