@@ -113,7 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--D", default=None)
     p.add_argument("--x0", default=None)
-    p.add_argument("--method", choices=("admm", "lp"), default="admm")
+    p.add_argument("--method", choices=("homotopy", "lp"), default="homotopy",
+                   help="homotopy: any eps (default); lp: exact basis pursuit, eps = 0")
     p.set_defaults(fn=_cmd_recover)
 
     for name, experiment in (

@@ -183,8 +183,9 @@ def run_preserve_nsp(cfg: ExperimentConfig) -> str:
 def run_phase_transition(cfg: ExperimentConfig) -> str:
     """Recovery success rate versus m for planted s-sparse coefficients.
 
-    Success means ||x_hat - x0||_2 <= max(1e-6, success_factor * eps);
-    solver non-convergence is recorded, not fatal.
+    Success means ||x_hat - x0||_2 <= max(1e-6, success_factor * eps) on a
+    solve whose optimality check passed; an uncertified or infeasible solve
+    counts as a failure, not an error.
     """
     if not cfg.m_grid:
         raise DomainError("phase_transition needs a nonempty m_grid")

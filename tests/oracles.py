@@ -92,12 +92,19 @@ def gamma_star_sampling_oracle(A, s, samples, rng):
     if k == 0:
         return 0.0
 
+    # probes per product: at most 2^18 multiply-adds, OpenBLAS's threading
+    # cutoff, so no second BLAS thread starts (as in width._projection_values)
+    step = max(256, 2**18 // (n * k))
+
     def ratios(C):
-        # one column per probe: the per-probe reductions then run along the long axis
-        a = np.abs(N @ C.T)
-        head = _head_sum(a, s)
-        tail = a.sum(axis=0) - head
-        return np.where(tail > 0, head / np.maximum(tail, 1e-300), np.inf)
+        out = np.empty(C.shape[0])
+        for i in range(0, C.shape[0], step):
+            # one column per probe: the per-probe reductions then run along the long axis
+            a = np.abs(N @ C[i : i + step].T)
+            head = _head_sum(a, s)
+            tail = a.sum(axis=0) - head
+            out[i : i + step] = np.where(tail > 0, head / np.maximum(tail, 1e-300), np.inf)
+        return out
 
     best = 0.0
     best_c = None

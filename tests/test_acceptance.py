@@ -201,7 +201,7 @@ def test_criterion_4_lemma_checks():
 
 
 def test_criterion_5_solver_cross_validation():
-    with criterion(5, "splitting solver matches LP objectives"):
+    with criterion(5, "homotopy solver matches LP objectives"):
         rng = RngStream(85)
         for trial in range(50):
             sub = rng.substream(trial)
@@ -210,9 +210,9 @@ def test_criterion_5_solver_cross_validation():
             x0[sub.permutation(40)[:3]] = sub.normal(3)
             y = B @ x0
             lp = solve_bp_lp(B, y)
-            admm = solve_l1_synthesis(B, y)
-            assert lp.status == "converged" and admm.status == "converged"
-            assert abs(admm.objective - lp.objective) <= 1e-6, trial
+            res = solve_l1_synthesis(B, y)
+            assert lp.status == "converged" and res.status == "converged"
+            assert abs(res.objective - lp.objective) <= 1e-6, trial
 
 
 def test_criterion_6_recovery_iff_nsp():

@@ -141,7 +141,7 @@ def test_recover_signal_from_dictionary(tmp_path, capsys):
     assert json.loads(out)["z_hat"] is None
 
 
-def test_recover_reports_penalty_changes(tmp_path, capsys):
+def test_recover_reports_path_steps_and_status(tmp_path, capsys):
     rng = RngStream(92)
     B = rng.normal((6, 12))
     x0 = np.zeros(12)
@@ -155,10 +155,14 @@ def test_recover_reports_penalty_changes(tmp_path, capsys):
     payload = json.loads(out)
     # the text round-trip is exact, so the CLI solves the same problem
     expected = solve_l1_synthesis(B, y, 0.05)
-    assert payload["penalty_changes"] == expected.penalty_changes > 0
-    assert payload["iterations"] == expected.iterations
+    assert payload["status"] == expected.status == "converged"
+    assert payload["iterations"] == expected.iterations > 0
+    assert payload["x_hat"] == expected.x_hat.tolist()
+    assert "penalty_changes" not in payload
+    code, out, _ = run_cli(capsys, *args, "--method", "homotopy", "--eps", "0.05")
+    assert json.loads(out) == payload
     code, out, _ = run_cli(capsys, *args, "--method", "lp")
-    assert json.loads(out)["penalty_changes"] == 0
+    assert json.loads(out)["status"] == "converged"
 
 
 def test_recover_lp_method(tmp_path, capsys):

@@ -31,4 +31,4 @@ def test_demo_runs(name):
 def test_sparse_recovery_demo_runs():
     proc = run_demo("sparse_recovery.py")
     assert proc.returncode == 0, proc.stderr
-    assert any(line.startswith("splitting: ") for line in proc.stdout.splitlines())
+    assert any(line.startswith("homotopy: ") for line in proc.stdout.splitlines())

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,103 +18,28 @@ from nsplab.solver import (
     solve_l1_synthesis,
 )
 from nsplab.subgaussian import make_spec, sample_measurement_matrix
-from oracles import soft_threshold
-
-
-def reference_l1_synthesis(B, y, eps) -> RecoveryResult:
-    """The splitting loop with every residual and norm formed on every iteration.
-
-    Test-only reference: `solve_l1_synthesis` forms the dual residual only
-    when a test reads it and takes norms as sqrt(v @ v), and must match this
-    loop bit for bit.  The only addition is the penalty-change counter.  It
-    reads the same module constants of `nsplab.solver`.
-    """
-    m, n = B.shape
-    x_ls, *_ = np.linalg.lstsq(B, y, rcond=None)
-    dist = float(np.linalg.norm(y - B @ x_ls))
-    if dist > eps + 1e-7 * max(1.0, float(np.linalg.norm(y))) + 1e-9:
-        return RecoveryResult(None, None, None, 0, "infeasible")
-
-    rho = solver.STEP
-    changes = 0
-    solve_ridge = np.linalg.inv(np.eye(n) + B.T @ B)
-    x = np.zeros(n)
-    z = np.zeros(n)
-    r = y.copy() if eps >= float(np.linalg.norm(y)) else np.zeros(m)
-    u_z = np.zeros(n)
-    u_r = np.zeros(m)
-    sqrt_dims = math.sqrt(n + m)
-    for it in range(1, solver.MAX_ITER + 1):
-        x = solve_ridge @ ((z - u_z) + B.T @ (y - r + u_r))
-        bx = B @ x
-        z_old, r_old = z, r
-        z = soft_threshold(x + u_z, 1.0 / rho)
-        w = y - bx + u_r
-        wn = float(np.linalg.norm(w))
-        r = w if wn <= eps else (eps / wn) * w
-        u_z = u_z + x - z
-        u_r = u_r + (y - bx) - r
-
-        pri = math.hypot(float(np.linalg.norm(x - z)), float(np.linalg.norm(y - bx - r)))
-        dual = rho * math.hypot(
-            float(np.linalg.norm(z - z_old)),
-            float(np.linalg.norm(B.T @ (r - r_old))),
-        )
-        scale_pri = max(
-            float(np.linalg.norm(x)),
-            float(np.linalg.norm(z)),
-            float(np.linalg.norm(r)),
-            float(np.linalg.norm(bx)),
-            1.0,
-        )
-        scale_dual = max(rho * math.hypot(float(np.linalg.norm(u_z)), float(np.linalg.norm(u_r))), 1.0)
-        eps_pri = sqrt_dims * solver.TOL_ABS + solver.TOL_REL * scale_pri
-        eps_dual = sqrt_dims * solver.TOL_ABS + solver.TOL_REL * scale_dual
-        if pri < eps_pri and dual < eps_dual:
-            return RecoveryResult(
-                x_hat=x,
-                objective=float(np.abs(x).sum()),
-                residual_norm=float(np.linalg.norm(y - bx)),
-                iterations=it,
-                status="converged",
-                penalty_changes=changes,
-            )
-        if it % 10 == 0 and it <= solver.ADAPT_ITERS:
-            if pri > 10.0 * dual:
-                rho *= 2.0
-                u_z /= 2.0
-                u_r /= 2.0
-                changes += 1
-            elif dual > 10.0 * pri:
-                rho /= 2.0
-                u_z *= 2.0
-                u_r *= 2.0
-                changes += 1
-    return RecoveryResult(
-        x_hat=x,
-        objective=float(np.abs(x).sum()),
-        residual_norm=float(np.linalg.norm(y - B @ x)),
-        iterations=solver.MAX_ITER,
-        status="max_iter",
-        penalty_changes=changes,
-    )
 
 
 def certified_optimum(B, y, eps, x_approx):
     """Exact optimum of min ||x||_1 s.t. ||y - B x||_2 <= eps on x_approx's sign pattern.
 
-    Test-only oracle for eps > 0.  Take the support S of x_approx, thresholded
-    at 1e-6 max|x_approx|, and its signs sigma.  With the ball constraint
-    active, the KKT conditions B_S^T v = sigma, v = (y - B_S x_S) / t and
-    ||y - B_S x_S|| = eps give x_S = x_ls - t d, where x_ls is the least
-    squares fit on S, d = (B_S^T B_S)^{-1} sigma and
+    Test-only oracle for eps > 0.  The support S comes from the dual: with
+    r = y - B x_approx and v0 = r / max|B^T r|, S holds the columns with
+    |B^T v0| within 1e-9 of 1 that are nonzero in x_approx, and sigma their
+    signs in x_approx.  A relative cutoff on |x_approx| would drop genuine
+    small coefficients.  With the ball constraint active, the KKT conditions
+    B_S^T v = sigma, v = (y - B_S x_S) / t and ||y - B_S x_S|| = eps give
+    x_S = x_ls - t d, where x_ls is the least squares fit on S,
+    d = (B_S^T B_S)^{-1} sigma and
     t = sqrt((eps^2 - ||y - B_S x_ls||^2) / ||B_S d||^2).  The point is
     certified optimal when the signs of x_S are sigma, v is dual feasible
     (||B^T v||_inf <= 1 + 1e-9) and the duality gap
     ||x||_1 - (y.v - eps ||v||) vanishes.  Returns (x, certified).
     """
     n = B.shape[1]
-    S = np.flatnonzero(np.abs(x_approx) > 1e-6 * np.abs(x_approx).max())
+    c = B.T @ (y - B @ x_approx)
+    on_dual = np.abs(c) >= (1.0 - 1e-9) * np.abs(c).max()
+    S = np.flatnonzero(on_dual & (x_approx != 0.0))
     sigma = np.sign(x_approx[S])
     BS = B[:, S]
     G = BS.T @ BS
@@ -231,18 +157,9 @@ class TestSplitting:
             x0[sub.permutation(40)[:3]] = sub.normal(3)
             y = B @ x0
             lp = solve_bp_lp(B, y)
-            admm = solve_l1_synthesis(B, y)
-            assert admm.status == "converged"
-            assert admm.objective == pytest.approx(lp.objective, abs=1e-6)
-
-    def test_params_are_honored(self, monkeypatch):
-        rng = RngStream(86)
-        B = rng.normal((5, 10))
-        y = B @ np.eye(10)[0]
-        monkeypatch.setattr(solver, "MAX_ITER", 3)
-        res = solve_l1_synthesis(B, y)
-        assert res.status == "max_iter"
-        assert res.iterations == 3
+            res = solve_l1_synthesis(B, y)
+            assert res.status == "converged"
+            assert res.objective == pytest.approx(lp.objective, abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -272,63 +189,6 @@ def _planted(seed, m, n, s, eps):
     if eps > 0.0:
         y = y + eps * rng.unit_vector(m)
     return B, y
-
-
-def _bit_identity_cases():
-    # (label, seed, m, n, s, eps, settings); eps = None puts eps at 1.5 ||y||;
-    # settings override module constants of nsplab.solver for the case
-    cases = []
-    for i, (m, n) in enumerate([(8, 16), (10, 18), (20, 40), (6, 12)]):
-        cases.append((f"noiseless-{m}x{n}", 200 + i, m, n, 2, 0.0, {}))
-    for i, (m, n, eps) in enumerate(
-        [(8, 16, 0.01), (10, 18, 0.05), (20, 40, 0.01), (12, 30, 0.05), (6, 12, 0.1), (16, 40, 0.01)]
-    ):
-        cases.append((f"ball-{m}x{n}-eps{eps}", 210 + i, m, n, 3, eps, {}))
-    for i in range(2):
-        cases.append((f"eps-above-norm-{i}", 220 + i, 6, 12, 2, None, {}))
-    cases.append(("max-iter-cut", 230, 10, 18, 3, 0.05, {"MAX_ITER": 150}))
-    cases.append(("max-iter-cut-noiseless", 231, 8, 16, 2, 0.0, {"MAX_ITER": 50}))
-    cases.append(("short-adapt", 232, 6, 12, 2, 0.05, {"ADAPT_ITERS": 40}))
-    cases.append(("small-step", 233, 10, 18, 3, 0.01, {"STEP": 0.05}))
-    cases.append(("large-step", 234, 8, 16, 2, 0.0, {"STEP": 20.0}))
-    cases.append(("loose-tol", 235, 20, 40, 3, 0.01, {"TOL_ABS": 1e-8, "TOL_REL": 1e-6}))
-    cases.append(("no-adapt", 236, 6, 12, 2, 0.05, {"ADAPT_ITERS": 0}))
-    cases.append(("adapt-every-iteration", 237, 8, 16, 2, 0.05, {"ADAPT_ITERS": 50_000}))
-    return cases
-
-
-class TestSplittingBitIdentity:
-    def test_matches_reference_loop(self, monkeypatch):
-        results = {}
-        for label, seed, m, n, s, eps, settings in _bit_identity_cases():
-            B, y = _planted(seed, m, n, s, eps or 0.0)
-            if eps is None:
-                eps = 1.5 * float(np.linalg.norm(y))
-            with monkeypatch.context() as patch:
-                for name, value in settings.items():
-                    patch.setattr(solver, name, value)
-                got = solve_l1_synthesis(B, y, eps)
-                want = reference_l1_synthesis(B, y, eps)
-                adapt_iters = solver.ADAPT_ITERS
-            assert got.status == want.status, label
-            assert got.iterations == want.iterations, label
-            assert got.penalty_changes == want.penalty_changes, label
-            assert got.x_hat.tobytes() == want.x_hat.tobytes(), label
-            assert got.objective == want.objective, label
-            assert got.residual_norm == want.residual_norm, label
-            results[label] = (got, eps, adapt_iters)
-        # the cases reach every branch the rewrite touches
-        assert any(
-            r.status == "converged" and r.iterations > adapt_iters
-            for r, _, adapt_iters in results.values()
-        )
-        assert {r.status for r, _, _ in results.values()} == {"converged", "max_iter"}
-        assert results["max-iter-cut"][0].iterations == 150
-        assert results["max-iter-cut-noiseless"][0].status == "max_iter"
-        ball, eps, _ = results["ball-20x40-eps0.01"]
-        assert ball.residual_norm == pytest.approx(eps, rel=1e-6)
-        assert results["eps-above-norm-0"][0].objective <= 1e-7
-        assert any(r.penalty_changes > 0 for r, _, _ in results.values())
 
 
 def _phase_problems():
@@ -361,15 +221,162 @@ class TestSplittingOracle:
         _, certified = certified_optimum(B, y, 0.05, -res.x_hat)
         assert not certified
 
-    def test_admm_within_documented_accuracy_of_certified_optimum(self):
+    def test_homotopy_matches_certified_optimum(self):
         eps = 0.01
         for B, y in _phase_problems():
             res = solve_l1_synthesis(B, y, eps)
             assert res.status == "converged"
             x, certified = certified_optimum(B, y, eps, res.x_hat)
             assert certified
-            assert res.objective <= float(np.abs(x).sum()) + 1e-7
-            assert res.residual_norm <= eps + 1e-8
+            assert np.max(np.abs(res.x_hat - x)) <= 1e-9
+            assert abs(res.objective - float(np.abs(x).sum())) <= 1e-9
+            assert res.residual_norm == pytest.approx(eps, abs=1e-12)
+
+    def test_oracle_keeps_a_small_genuine_coefficient(self):
+        # optimum planted through its KKT conditions: support S, signs sigma,
+        # dual vector v with B_S^T v = sigma, and r = eps v / ||v||.  The third
+        # coefficient is 3e-7 of the largest, below the old 1e-6 cutoff.
+        rng = RngStream(253)
+        B = rng.normal((20, 30))
+        S = np.array([4, 11, 23])
+        sigma = np.array([1.0, -1.0, 1.0])
+        v = B[:, S] @ np.linalg.solve(B[:, S].T @ B[:, S], sigma)
+        assert np.abs(np.delete(B.T @ v, S)).max() < 1.0
+        x0 = np.zeros(30)
+        x0[S] = sigma * np.array([1.0, 0.8, 3e-7])
+        eps = 0.05
+        y = B @ x0 + eps * v / np.linalg.norm(v)
+        res = solve_l1_synthesis(B, y, eps)
+        assert res.status == "converged"
+        assert np.max(np.abs(res.x_hat - x0)) <= 1e-12
+        x, certified = certified_optimum(B, y, eps, res.x_hat)
+        assert certified
+        assert np.array_equal(np.flatnonzero(x), S)
+        assert np.max(np.abs(x - x0)) <= 1e-12
+
+
+def _assert_kkt(B, y, eps, res):
+    """The returned point meets the optimality conditions, with its dual vector
+    rebuilt from the point alone: v = r / lam, lam = max|B^T r| (eps > 0 only)."""
+    assert res.status == "converged"
+    r = y - B @ res.x_hat
+    assert np.linalg.norm(r) <= eps + 1e-9 * max(1.0, np.linalg.norm(y))
+    if eps > 0.0 and np.any(res.x_hat):
+        v = r / np.abs(B.T @ r).max()
+        assert solver._kkt_holds(B, y, eps, res.x_hat, v)
+
+
+def _against_oracle(B, y, eps):
+    """Solve, assert KKT, and match the oracle: the LP at eps = 0, else the certified optimum."""
+    res = solve_l1_synthesis(B, y, eps)
+    _assert_kkt(B, y, eps, res)
+    if eps == 0.0:
+        lp = solve_bp_lp(B, y)
+        assert lp.status == "converged"
+        assert res.objective == pytest.approx(lp.objective, abs=1e-9)
+    else:
+        x, certified = certified_optimum(B, y, eps, res.x_hat)
+        assert certified
+        assert np.max(np.abs(res.x_hat - x)) <= 1e-9
+    assert res.iterations <= 4 * B.shape[1]
+    return res
+
+
+class TestHomotopyDegenerateInputs:
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_duplicated_column(self, eps):
+        # a duplicate shares its twin's correlation, on and off the path
+        rng = RngStream(260)
+        for trial in range(100):
+            sub = rng.substream(trial)
+            twin = int(sub.integers(0, 11))
+            B = sub.normal((6, 11))
+            B = np.column_stack([B, B[:, twin]])
+            x0 = np.zeros(12)
+            x0[sub.permutation(12)[:2]] = sub.normal(2)
+            y = B @ x0 + eps * sub.unit_vector(6)
+            res = _against_oracle(B, y, eps)
+            assert np.count_nonzero(res.x_hat[[twin, 11]]) <= 1, trial
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_zero_column(self, eps):
+        B, y = _planted(261, 8, 14, 2, eps)
+        B[:, 5] = 0.0
+        res = _against_oracle(B, y, eps)
+        assert res.x_hat[5] == 0.0
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_rank_deficient(self, eps):
+        rng = RngStream(262)
+        B = rng.normal((8, 4)) @ rng.normal((4, 14))  # rank 4 < m = 8
+        x0 = np.zeros(14)
+        x0[[2, 9]] = [1.5, -0.7]
+        y = B @ x0
+        if eps > 0.0:  # noise inside range(B), so the ball is reachable
+            e = B @ rng.unit_vector(14)
+            y = y + eps * e / np.linalg.norm(e)
+        _against_oracle(B, y, eps)
+
+    def test_square_noiseless(self):
+        # m = n, as criteria 6 and 8 solve with an identity dictionary
+        for seed, s in itertools.product(range(263, 268), (2, 10)):
+            B, y = _planted(seed, 10, 10, s, 0.0)
+            res = _against_oracle(B, y, 0.0)
+            assert np.linalg.norm(res.x_hat - np.linalg.solve(B, y)) <= 1e-9
+
+    def test_overdetermined_above_distance(self):
+        rng = RngStream(268)
+        B = rng.normal((12, 6))
+        y = rng.normal(12)
+        fit, *_ = np.linalg.lstsq(B, y, rcond=None)
+        dist = float(np.linalg.norm(y - B @ fit))
+        for eps in (1.05 * dist, 0.5 * (dist + np.linalg.norm(y))):
+            res = _against_oracle(B, y, eps)
+            assert res.residual_norm == pytest.approx(eps, abs=1e-12)
+
+    def test_zero_measurements_give_zero(self):
+        B = RngStream(269).normal((6, 12))
+        for eps in (0.0, 0.1):
+            res = solve_l1_synthesis(B, np.zeros(6), eps)
+            _assert_kkt(B, np.zeros(6), eps, res)
+            assert not np.any(res.x_hat) and res.iterations == 0
+
+    def test_ball_around_the_origin_gives_zero(self):
+        B, y = _planted(270, 6, 12, 2, 0.0)
+        for eps in (float(np.linalg.norm(y)), 2.0 * float(np.linalg.norm(y))):
+            res = solve_l1_synthesis(B, y, eps)
+            _assert_kkt(B, y, eps, res)
+            assert not np.any(res.x_hat) and res.iterations == 0
+
+    def test_infeasible_ball(self):
+        rng = RngStream(271)
+        B = rng.normal((12, 6))
+        y = rng.normal(12)
+        fit, *_ = np.linalg.lstsq(B, y, rcond=None)
+        dist = float(np.linalg.norm(y - B @ fit))
+        res = solve_l1_synthesis(B, y, 0.9 * dist)
+        assert res.status == "infeasible" and res.x_hat is None
+
+    def test_perturbed_point_is_uncertified(self):
+        B, y = _planted(272, 10, 18, 2, 0.05)
+        res = solve_l1_synthesis(B, y, 0.05)
+        r = y - B @ res.x_hat
+        lam = float(np.abs(B.T @ r).max())
+        assert solver._kkt_holds(B, y, 0.05, res.x_hat, r / lam)
+        inactive = int(np.flatnonzero(res.x_hat == 0.0)[0])
+        for delta in (1e-6 * np.eye(18)[inactive], 1e-6 * res.x_hat):
+            x = res.x_hat + delta
+            assert not solver._kkt_holds(B, y, 0.05, x, (y - B @ x) / lam)
+        # so does the optimum with its dual vector scaled off dual feasibility
+        assert not solver._kkt_holds(B, y, 0.05, res.x_hat, 1.01 * r / lam)
+
+    def test_failed_check_reports_uncertified(self, monkeypatch):
+        B, y = _planted(273, 8, 16, 2, 0.05)
+        certified = solve_l1_synthesis(B, y, 0.05)
+        monkeypatch.setattr(solver, "_kkt_holds", lambda *args: False)
+        res = solve_l1_synthesis(B, y, 0.05)
+        assert res.status == "uncertified"
+        assert res.x_hat.tobytes() == certified.x_hat.tobytes()  # the point is still returned
 
 
 class TestRecoveryNspLink:
