@@ -1,10 +1,9 @@
 """Recover dictionary-sparse signals by l1 minimization.
 
-min ||x||_1 subject to ||y - B x||_2 <= eps, solved two ways: an exact LP
-reformulation for the noiseless case and a LASSO homotopy, exact for any
-noise radius.  When the composition certifies the NSP, recovery of
-planted sparse coefficients is exact, and the certified error bound holds
-on noisy instances.
+min ||x||_1 subject to ||y - B x||_2 <= eps, solved by a LASSO homotopy,
+exact for any noise radius, basis pursuit (eps = 0) included.  When the
+composition certifies the NSP, recovery of planted sparse coefficients is
+exact, and the certified error bound holds on noisy instances.
 """
 
 import numpy as np
@@ -17,7 +16,6 @@ from nsplab import (
     estimate_eta,
     evaluate_recovery,
     make_dictionary,
-    solve_bp_lp,
     solve_l1_synthesis,
 )
 from nsplab.subgaussian import make_spec, sample_measurement_matrix
@@ -36,9 +34,7 @@ print("\n== noiseless recovery of a planted 1-sparse coefficient ==")
 x0 = np.zeros(18)
 x0[4] = 1.5
 y = B @ x0
-lp = solve_bp_lp(B, y)
 path = solve_l1_synthesis(B, y)
-print(f"LP:       err {np.abs(lp.x_hat - x0).max():.2e}, objective {lp.objective:.6f}")
 print(f"homotopy: err {np.abs(path.x_hat - x0).max():.2e}, objective {path.objective:.6f} "
       f"({path.iterations} path steps, {path.status})")
 
@@ -61,6 +57,6 @@ Bbad = np.column_stack([base, 2.0 * base[:, 0]])
 certb = certify_nsp(Bbad, 1)
 x0 = np.zeros(10)
 x0[list(certb.witness_support)] = certb.witness[list(certb.witness_support)]
-res = solve_bp_lp(Bbad, Bbad @ x0)
+res = solve_l1_synthesis(Bbad, Bbad @ x0)
 print(f"failed certificate (gamma_star = {certb.gamma_star:.3f}): planted witness")
 print(f"comes back with error {np.abs(res.x_hat - x0).max():.3f} (recovery broken)")

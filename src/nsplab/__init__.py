@@ -61,7 +61,6 @@ from .solver import (
     RecoveryResult,
     best_s_term_error,
     evaluate_recovery,
-    solve_bp_lp,
     solve_l1_synthesis,
 )
 from .subgaussian import SubgaussianSpec, make_spec, sample_measurement_matrix

@@ -16,7 +16,7 @@ from .harness import ExperimentConfig, _fmt, run_experiment
 from .nsp import certificate_to_json, certify_nsp
 from .numerics import read_matrix_text, read_vector_text
 from .smallball import BoundInputs, bounds_table
-from .solver import recovery_result_to_json, solve_bp_lp, solve_l1_synthesis
+from .solver import recovery_result_to_json, solve_l1_synthesis
 
 
 def _cmd_nsp_check(args) -> int:
@@ -49,12 +49,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_recover(args) -> int:
     B = read_matrix_text(args.B)
     y = read_vector_text(args.y)
-    if args.method == "lp":
-        if not args.eps == 0.0:  # also refuses NaN
-            raise NsplabError("the lp method is exact basis pursuit: eps must be 0")
-        result = solve_bp_lp(B, y)
-    else:
-        result = solve_l1_synthesis(B, y, args.eps)
+    result = solve_l1_synthesis(B, y, args.eps)
     payload = recovery_result_to_json(result)
     z_hat = None
     if args.D and result.x_hat is not None:
@@ -113,8 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--D", default=None)
     p.add_argument("--x0", default=None)
-    p.add_argument("--method", choices=("homotopy", "lp"), default="homotopy",
-                   help="homotopy: any eps (default); lp: exact basis pursuit, eps = 0")
     p.set_defaults(fn=_cmd_recover)
 
     for name, experiment in (

@@ -128,7 +128,7 @@ def _support_lp(N, T, signs, n):
     rows[-1, k:] = 1.0
     rhs[-1] = 1.0
     free = [True] * k + [False] * nt
-    res = solve_lp(obj, rows, rhs, ["<="] * (2 * nt + 1), free=free)
+    res = solve_lp(obj, rows, rhs, free=free)
     if res.status != "optimal":
         raise LpSolveError(f"support LP for T = {T} ended with status {res.status}")
     return res.value, N @ res.x[:k]

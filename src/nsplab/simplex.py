@@ -1,10 +1,11 @@
-"""Dense two-phase simplex with Bland's smallest-index anti-cycling rule.
+"""Dense one-phase simplex with Bland's smallest-index anti-cycling rule.
 
 Problems are tiny here (tens of variables), so a plain tableau beats any
-external solver: fully deterministic pivoting, explicit unbounded and
-infeasible verdicts, no dependencies.  Each variable is nonnegative or free,
-the two kinds the support LPs and basis pursuit build; any other bound is a
-constraint row.
+external solver: fully deterministic pivoting, an explicit unbounded
+verdict, no dependencies.  Every constraint is a '<=' row with a
+nonnegative right-hand side, as the support LPs build them, so the slack
+basis is feasible and no phase 1 is needed.  Each variable is nonnegative
+or free; any other bound is a constraint row.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ LP_TOL = 1e-9        # pivot, ratio-test and feasibility tolerance
 
 @dataclass(frozen=True)
 class LpResult:
-    status: str  # 'optimal' | 'unbounded' | 'infeasible'
+    status: str  # 'optimal' | 'unbounded'
     x: np.ndarray | None
     value: float | None
     iterations: int
@@ -76,11 +77,12 @@ def _run_simplex(T, zrow, basis, allowed):
             raise LpSolveError(f"simplex exceeded the pivot budget of {_MAX_PIVOTS}")
 
 
-def solve_lp(objective, constraints, rhs, senses, free=None) -> LpResult:
-    """maximize objective @ x subject to constraints @ x (senses) rhs.
+def solve_lp(objective, constraints, rhs, free=None) -> LpResult:
+    """maximize objective @ x subject to constraints @ x <= rhs.
 
-    senses holds '<=' or '=' per row.  free holds one bool per variable: a
-    free variable is unbounded, every other one is >= 0 (the default).  On
+    rhs must be nonnegative: x = 0 is then feasible and the slack basis
+    starts the simplex, with no phase 1.  free holds one bool per variable:
+    a free variable is unbounded, every other one is >= 0 (the default).  On
     'optimal' the returned x is feasible within LP_TOL.
     """
     c0 = as_vector(objective)
@@ -89,78 +91,29 @@ def solve_lp(objective, constraints, rhs, senses, free=None) -> LpResult:
     n0, m = c0.size, b.size
     if A.shape != (m, n0):
         raise DomainError(f"inconsistent LP dimensions: A {A.shape}, c {n0}, b {m}")
-    senses = tuple(senses)
-    if len(senses) != m or any(s not in ("<=", "=") for s in senses):
-        raise DomainError("senses must be '<=' or '=' per constraint row")
+    if np.any(b < 0.0):
+        raise DomainError("rhs must be nonnegative: the slack basis is the starting point")
     free = np.zeros(n0, dtype=int) if free is None else np.array([bool(f) for f in free], dtype=int)
     if free.size != n0:
         raise DomainError("one free flag required per variable")
 
     # Standard form: x_j >= 0 keeps its column; a free x_j = x_j^+ - x_j^-
-    # adds the negated column right after it.
+    # adds the negated column right after it.  One slack per row.
     owner = np.repeat(np.arange(n0), 1 + free)
     neg = np.zeros(owner.size, dtype=bool)
     neg[1:] = owner[1:] == owner[:-1]
     sign = np.where(neg, -1.0, 1.0)
     ns = owner.size
-
-    # Slacks for '<=' rows, then artificials wherever no identity column is
-    # available (equalities, and rows flipped for a negative rhs).
-    slack_rows = [i for i in range(m) if senses[i] == "<="]
-    art_start = ns + len(slack_rows)
-    T = np.zeros((m, art_start + 1))
+    width = ns + m
+    T = np.zeros((m, width + 1))
     T[:, :ns] = A[:, owner] * sign
-    T[slack_rows, ns + np.arange(len(slack_rows))] = 1.0
+    T[:, ns:width] = np.eye(m)
     T[:, -1] = b
-    flip = b < 0.0
-    T[flip] = -T[flip]
-    basis = [-1] * m
-    for k, i in enumerate(slack_rows):
-        if not flip[i]:
-            basis[i] = ns + k
-    art_rows = [i for i in range(m) if basis[i] < 0]
-    total = art_start + len(art_rows)
-    T = np.hstack([T[:, :-1], np.zeros((m, len(art_rows))), T[:, -1:]])
-    for k, i in enumerate(art_rows):
-        T[i, art_start + k] = 1.0
-        basis[i] = art_start + k
-    iterations = 0
+    basis = list(range(ns, width))
 
-    if art_rows:
-        # Phase 1: maximize minus the artificial sum.
-        zrow = np.zeros(total + 1)
-        zrow[art_start:total] = -1.0
-        for i in art_rows:
-            zrow += T[i]
-        allowed = range(art_start)  # artificials never re-enter
-        status, piv = _run_simplex(T, zrow, basis, allowed)
-        iterations += piv
-        if status != "optimal" or -zrow[-1] < -LP_TOL:
-            return LpResult("infeasible", None, None, iterations)
-        # Drive leftover artificials out of the basis; drop redundant rows.
-        keep = []
-        for i in range(m):
-            if basis[i] >= art_start:
-                nonzero = np.flatnonzero(np.abs(T[i, :art_start]) > LP_TOL)
-                if nonzero.size == 0:
-                    continue  # redundant row
-                _pivot(T, zrow, basis, i, int(nonzero[0]))
-                iterations += 1
-            keep.append(i)
-        T = np.column_stack([T[keep, :art_start], T[keep, -1]])
-        basis = [basis[i] for i in keep]
-
-    # Phase 2 on the real objective.
-    width = T.shape[1] - 1
-    cost = np.zeros(width)
-    cost[:ns] = c0[owner] * sign
-    zrow = np.append(cost, 0.0)
-    for i in range(T.shape[0]):
-        cb = cost[basis[i]]
-        if cb != 0.0:
-            zrow -= cb * T[i]
-    status, piv = _run_simplex(T, zrow, basis, range(width))
-    iterations += piv
+    zrow = np.zeros(width + 1)
+    zrow[:ns] = c0[owner] * sign
+    status, iterations = _run_simplex(T, zrow, basis, range(width))
     if status == "unbounded":
         return LpResult("unbounded", None, None, iterations)
 

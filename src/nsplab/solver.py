@@ -1,12 +1,12 @@
 """l1-synthesis recovery: min ||x||_1 subject to ||y - B x||_2 <= eps.
 
-Two routes: an exact LP reformulation for the noiseless case (basis
-pursuit), and a LASSO homotopy for any eps >= 0.  The homotopy follows the
-piecewise-linear path of min 1/2 ||y - B x||^2 + lam ||x||_1 from
-lam0 = max|B^T y| down to the lam where ||y - B x(lam)|| = eps (Osborne,
-Presnell & Turlach 2000; Donoho & Tsaig 2008).  The residual norm does not
-decrease as lam grows, so that point solves the eps-ball problem, and on
-each linear piece the stop is found in closed form.
+One route for every eps >= 0, basis pursuit (eps = 0) included: a LASSO
+homotopy.  It follows the piecewise-linear path of
+min 1/2 ||y - B x||^2 + lam ||x||_1 from lam0 = max|B^T y| down to the lam
+where ||y - B x(lam)|| = eps (Osborne, Presnell & Turlach 2000; Donoho &
+Tsaig 2008).  The residual norm does not decrease as lam grows, so that
+point solves the eps-ball problem, and on each linear piece the stop is
+found in closed form.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import as_matrix, as_vector, operator_norm
-from .simplex import solve_lp
 
 _BOUND_SLACK = 1e-6  # evaluate_recovery: absolute slack on both error bounds
 # solve_l1_synthesis: a column joins the path only if its distance to the span
@@ -36,7 +35,7 @@ class RecoveryResult:
     x_hat: np.ndarray | None
     objective: float | None
     residual_norm: float | None
-    iterations: int                # LP pivots, or homotopy path steps
+    iterations: int                # homotopy path steps
     status: str                    # 'converged' | 'uncertified' | 'infeasible'
 
 
@@ -48,40 +47,6 @@ def best_s_term_error(x, s: int) -> float:
     if s == 0:
         return float(v.sum())
     return float(np.sort(v)[: v.size - s].sum())
-
-
-def _recovery_inputs(B, y, eps=0.0):
-    """The input check of both recovery routes: returns B and y as arrays."""
-    B = as_matrix(B)
-    y = as_vector(y)
-    if y.size != B.shape[0]:
-        raise DomainError(f"y has length {y.size}, B has {B.shape[0]} rows")
-    if not eps >= 0.0:
-        raise DomainError(f"eps must be nonnegative, got {eps}")
-    return B, y
-
-
-def solve_bp_lp(B, y) -> RecoveryResult:
-    """Noiseless basis pursuit by exact LP: split x = x+ - x-, minimize the sum.
-
-    Reports infeasible when y is not in the range of B (within the simplex
-    tolerance LP_TOL).
-    """
-    Bm, yv = _recovery_inputs(B, y)
-    m, n = Bm.shape
-    objective = -np.ones(2 * n)  # maximize the negated l1 mass
-    constraints = np.hstack([Bm, -Bm])
-    res = solve_lp(objective, constraints, yv, ["="] * m)
-    if res.status != "optimal":
-        return RecoveryResult(None, None, None, res.iterations, "infeasible")
-    x = res.x[:n] - res.x[n:]
-    return RecoveryResult(
-        x_hat=x,
-        objective=float(np.abs(x).sum()),
-        residual_norm=float(np.linalg.norm(yv - Bm @ x)),
-        iterations=res.iterations,
-        status="converged",
-    )
 
 
 def _kkt_holds(B, y, eps, x, v) -> bool:
@@ -138,7 +103,12 @@ def solve_l1_synthesis(B, y, eps=0.0) -> RecoveryResult:
     B.  ||y|| <= eps returns x = 0.  iterations counts path steps; the path
     is cut after 4 n of them (at most 36 were seen on 20 x 40 problems).
     """
-    B, y = _recovery_inputs(B, y, eps)
+    B = as_matrix(B)
+    y = as_vector(y)
+    if y.size != B.shape[0]:
+        raise DomainError(f"y has length {y.size}, B has {B.shape[0]} rows")
+    if not eps >= 0.0:
+        raise DomainError(f"eps must be nonnegative, got {eps}")
     m, n = B.shape
     # Unreachable measurement ball: compare eps with the distance to range(B).
     fit, *_ = np.linalg.lstsq(B, y, rcond=None)

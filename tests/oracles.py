@@ -10,6 +10,7 @@ import math
 
 import mpmath
 import numpy as np
+import pytest
 
 import nsplab.width
 from nsplab.errors import DomainError
@@ -133,6 +134,24 @@ def gamma_star_sampling_oracle(A, s, samples, rng):
             best_c = C[i] / np.linalg.norm(C[i])
         radius *= 0.4
     return best
+
+
+def bp_objective_oracle(B, y) -> float:
+    """min ||x||_1 s.t. B x = y, the basis-pursuit optimum, by HiGHS.
+
+    Independent of nsplab's homotopy: scipy's linprog on the split form
+    x = x+ - x-, minimizing sum(x+) + sum(x-) subject to [B, -B] [x+; x-] = y
+    with both parts nonnegative.  Skips the calling test without scipy.
+    """
+    optimize = pytest.importorskip("scipy.optimize")
+    B = as_matrix(B)
+    n = B.shape[1]
+    res = optimize.linprog(
+        np.ones(2 * n), A_eq=np.hstack([B, -B]), b_eq=as_vector(y),
+        bounds=(0.0, None), method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
 
 
 def eta_grid_oracle(D, p: SgammaParams, resolution: int = 2000) -> float:

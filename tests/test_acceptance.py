@@ -19,14 +19,11 @@ from nsplab.nsp import SgammaParams, certify_nsp, estimate_eta
 from nsplab.numerics import nonincreasing_rearrangement
 from nsplab.rng import RngStream
 from nsplab.smallball import FORMULA_IDS, BoundInputs, m_min, success_probability
-from nsplab.solver import (
-    best_s_term_error,
-    solve_bp_lp,
-    solve_l1_synthesis,
-)
+from nsplab.solver import best_s_term_error, solve_l1_synthesis
 from nsplab.subgaussian import make_spec, sample_measurement_matrix
 from nsplab.width import cone_projection_values, unit_ball_width, width_DS_gamma_mc
 from oracles import (
+    bp_objective_oracle,
     check_lemma_key,
     check_slepian_contraction,
     check_soft_moment,
@@ -113,7 +110,7 @@ def test_criterion_2_certifier_vs_oracle_and_recovery():
                     x0 = np.zeros(n)
                     idx = plant.permutation(n)[:s]
                     x0[idx] = plant.signs(s) * (1.0 + plant.uniform(s))
-                    res = solve_bp_lp(A, A @ x0)
+                    res = solve_l1_synthesis(A, A @ x0)
                     if res.status != "converged" or np.max(np.abs(res.x_hat - x0)) > 1e-6:
                         recovered = False
                 recovery_verdict = "holds" if recovered else "fails"
@@ -121,7 +118,7 @@ def test_criterion_2_certifier_vs_oracle_and_recovery():
                 T = list(cert.witness_support)
                 x0 = np.zeros(n)
                 x0[T] = cert.witness[T]
-                res = solve_bp_lp(A, A @ x0)
+                res = solve_l1_synthesis(A, A @ x0)
                 failed = res.status != "converged" or np.max(np.abs(res.x_hat - x0)) > 1e-6
                 recovery_verdict = "fails" if failed else "holds"
             agreements += int(recovery_verdict == cert.verdict)
@@ -201,7 +198,7 @@ def test_criterion_4_lemma_checks():
 
 
 def test_criterion_5_solver_cross_validation():
-    with criterion(5, "homotopy solver matches LP objectives"):
+    with criterion(5, "homotopy solver matches HiGHS basis-pursuit objectives"):
         rng = RngStream(85)
         for trial in range(50):
             sub = rng.substream(trial)
@@ -209,10 +206,9 @@ def test_criterion_5_solver_cross_validation():
             x0 = np.zeros(40)
             x0[sub.permutation(40)[:3]] = sub.normal(3)
             y = B @ x0
-            lp = solve_bp_lp(B, y)
             res = solve_l1_synthesis(B, y)
-            assert lp.status == "converged" and res.status == "converged"
-            assert abs(res.objective - lp.objective) <= 1e-6, trial
+            assert res.status == "converged"
+            assert abs(res.objective - bp_objective_oracle(B, y)) <= 1e-6, trial
 
 
 def test_criterion_6_recovery_iff_nsp():
@@ -230,7 +226,7 @@ def test_criterion_6_recovery_iff_nsp():
             sub = rng.substream("plant", trial)
             x0 = np.zeros(12)
             x0[int(sub.integers(0, 12))] = float(sub.signs()) * (0.5 + sub.uniform())
-            res = solve_bp_lp(B, B @ x0)
+            res = solve_l1_synthesis(B, B @ x0)
             assert res.status == "converged"
             assert np.max(np.abs(res.x_hat - x0)) < 1e-6, trial
 
@@ -240,7 +236,7 @@ def test_criterion_6_recovery_iff_nsp():
         T = list(cert2.witness_support)
         x0 = np.zeros(12)
         x0[T] = cert2.witness[T]
-        res = solve_bp_lp(B, B @ x0)
+        res = solve_l1_synthesis(B, B @ x0)
         assert np.max(np.abs(res.x_hat - x0)) > 1e-6
 
         # kernel-containment failure: a dictionary with a bad kernel direction
@@ -254,7 +250,7 @@ def test_criterion_6_recovery_iff_nsp():
         Tb = list(certc.witness_support)
         xb = np.zeros(10)
         xb[Tb] = certc.witness[Tb]
-        resb = solve_bp_lp(phi_b @ Dbad, (phi_b @ Dbad) @ xb)
+        resb = solve_l1_synthesis(phi_b @ Dbad, (phi_b @ Dbad) @ xb)
         assert resb.status != "converged" or np.max(np.abs(resb.x_hat - xb)) > 1e-6
 
 

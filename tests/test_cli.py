@@ -116,7 +116,7 @@ def test_recover_x0_length_mismatch_exits_1(tmp_path, capsys):
     write_vector_text(tmp_path / "x0.txt", y[:4])
     code, out, err = run_cli(
         capsys, "recover", "--B", str(tmp_path / "B.txt"), "--y", str(tmp_path / "y.txt"),
-        "--method", "lp", "--x0", str(tmp_path / "x0.txt"),
+        "--x0", str(tmp_path / "x0.txt"),
     )
     assert code == 1
     assert out == ""
@@ -159,35 +159,30 @@ def test_recover_reports_path_steps_and_status(tmp_path, capsys):
     assert payload["iterations"] == expected.iterations > 0
     assert payload["x_hat"] == expected.x_hat.tolist()
     assert "penalty_changes" not in payload
-    code, out, _ = run_cli(capsys, *args, "--method", "homotopy", "--eps", "0.05")
-    assert json.loads(out) == payload
-    code, out, _ = run_cli(capsys, *args, "--method", "lp")
-    assert json.loads(out)["status"] == "converged"
+    code, out, _ = run_cli(capsys, *args)  # eps = 0: basis pursuit
+    assert code == 0
+    payload = json.loads(out)
+    expected = solve_l1_synthesis(B, y)
+    assert payload["status"] == expected.status == "converged"
+    assert payload["x_hat"] == expected.x_hat.tolist()
 
 
 def test_recover_lp_method(tmp_path, capsys):
+    # basis pursuit (eps = 0) on the default route
     write_matrix_text(tmp_path / "B.txt", np.array([[1.0, 0, 1], [0, 1, 1]]))
     write_vector_text(tmp_path / "y.txt", np.array([1.0, 1.0]))
-    code, out, _ = run_cli(
-        capsys, "recover", "--B", str(tmp_path / "B.txt"), "--y", str(tmp_path / "y.txt"),
-        "--method", "lp",
-    )
+    args = ("recover", "--B", str(tmp_path / "B.txt"), "--y", str(tmp_path / "y.txt"))
+    code, out, _ = run_cli(capsys, *args)
     assert code == 0
     payload = json.loads(out)
+    assert payload["status"] == "converged"
     assert payload["objective"] == pytest.approx(1.0, abs=1e-9)
-
-
-@pytest.mark.parametrize("eps", ["-1", "nan", "0.5"])
-def test_recover_lp_method_refuses_nonzero_eps(tmp_path, capsys, eps):
-    write_matrix_text(tmp_path / "B.txt", np.eye(3))
-    write_vector_text(tmp_path / "y.txt", np.array([1.0, 0.0, 0.0]))
-    code, out, err = run_cli(
-        capsys, "recover", "--B", str(tmp_path / "B.txt"), "--y", str(tmp_path / "y.txt"),
-        "--method", "lp", "--eps", eps,
-    )
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:") and "eps must be 0" in err
+    # recover takes no method option: naming one is a usage error
+    for method in ("lp", "homotopy"):
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--method", method])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_preserve_from_config_and_seed_override(tmp_path, capsys):

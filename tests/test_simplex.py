@@ -5,49 +5,35 @@ import itertools
 import numpy as np
 import pytest
 
+from nsplab.errors import DomainError
 from nsplab.rng import RngStream
 from nsplab.simplex import _pivot, solve_lp
 
 
-def lp_vertex_oracle(objective, constraints, rhs, senses, free=None, feas_tol=1e-7):
+def lp_vertex_oracle(objective, constraints, rhs, free=None, feas_tol=1e-7):
     """Best objective over all basic feasible points, by brute enumeration.
 
-    Takes the arguments of solve_lp.  Builds the full list of
-    inequality/equality facets (rows and x_j >= 0 for every variable that is
-    not free), solves every square subsystem, and keeps feasible solutions.
-    Only meaningful for small, bounded, feasible problems.
+    Takes the arguments of solve_lp.  Builds the full list of inequality
+    facets (rows and x_j >= 0 for every variable that is not free), solves
+    every square subsystem, and keeps feasible solutions.  Only meaningful
+    for small, bounded, feasible problems.
     """
     objective = np.asarray(objective, dtype=float)
     n = objective.size
-    eq_rows = []
-    ineq_rows = []  # (a, b) meaning a @ x <= b
-    for a, b, s in zip(constraints, rhs, senses):
-        if s == "=":
-            eq_rows.append((a, b))
-        else:
-            ineq_rows.append((a, b))
+    ineq_rows = list(zip(constraints, rhs))  # (a, b) meaning a @ x <= b
     for j, is_free in enumerate(free or [False] * n):
         if not is_free:
             e = np.zeros(n)
             e[j] = 1.0
             ineq_rows.append((-e, 0.0))
 
-    def feasible(x):
-        for a, b in eq_rows:
-            if abs(a @ x - b) > feas_tol:
-                return False
-        return all(a @ x <= b + feas_tol for a, b in ineq_rows)
-
     best = None
-    need = n - len(eq_rows)
-    for combo in itertools.combinations(range(len(ineq_rows)), max(need, 0)):
-        rows = [a for a, _ in eq_rows] + [ineq_rows[i][0] for i in combo]
-        rhs = [b for _, b in eq_rows] + [ineq_rows[i][1] for i in combo]
-        M = np.array(rows)
-        if M.shape[0] != n or abs(np.linalg.det(M)) < 1e-12:
+    for combo in itertools.combinations(range(len(ineq_rows)), n):
+        M = np.array([ineq_rows[i][0] for i in combo])
+        if abs(np.linalg.det(M)) < 1e-12:
             continue
-        x = np.linalg.solve(M, np.array(rhs))
-        if feasible(x):
+        x = np.linalg.solve(M, np.array([ineq_rows[i][1] for i in combo]))
+        if all(a @ x <= b + feas_tol for a, b in ineq_rows):
             v = float(objective @ x)
             if best is None or v > best:
                 best = v
@@ -55,38 +41,28 @@ def lp_vertex_oracle(objective, constraints, rhs, senses, free=None, feas_tol=1e
 
 
 def test_bounded_single_variable():
-    res = solve_lp([1.0], [[1.0]], [3.0], ["<="])
+    res = solve_lp([1.0], [[1.0]], [3.0])
     assert res.status == "optimal"
     assert res.value == pytest.approx(3.0, abs=1e-9)
     assert res.x[0] == pytest.approx(3.0, abs=1e-9)
 
 
 def test_unbounded():
-    res = solve_lp([1.0], np.zeros((0, 1)), [], [])
+    res = solve_lp([1.0], np.zeros((0, 1)), [])
     assert res.status == "unbounded"
 
 
 def test_infeasible():
-    res = solve_lp([1.0], [[1.0]], [-1.0], ["<="])
-    assert res.status == "infeasible"
-
-
-def test_equality_and_free_variables():
-    # max x1 + x2 with x1 + x2 = 1, x1 free, 0 <= x2 <= 0.25
-    res = solve_lp(
-        [1.0, 1.0],
-        [[1.0, 1.0], [0.0, 1.0]],
-        [1.0, 0.25],
-        ["=", "<="],
-        free=[True, False],
-    )
-    assert res.status == "optimal"
-    assert res.value == pytest.approx(1.0, abs=1e-9)
+    # x <= -1 with x >= 0: with no phase 1 to find a feasible start, any
+    # negative rhs is refused, whether or not the LP is feasible
+    for free in (None, [True]):
+        with pytest.raises(DomainError, match="rhs must be nonnegative"):
+            solve_lp([1.0], [[1.0]], [-1.0], free=free)
 
 
 def test_negative_lower_bound():
     # max -x subject to x >= -2  ->  x = -2: a free x with the row -x <= 2
-    res = solve_lp([-1.0], [[-1.0]], [2.0], ["<="], free=[True])
+    res = solve_lp([-1.0], [[-1.0]], [2.0], free=[True])
     assert res.status == "optimal"
     assert res.x[0] == pytest.approx(-2.0, abs=1e-9)
     assert res.value == pytest.approx(2.0, abs=1e-9)
@@ -94,7 +70,7 @@ def test_negative_lower_bound():
 
 def test_upper_bounded_only_variable():
     # max x subject to x <= 5 (no lower bound): a free x with the row x <= 5
-    res = solve_lp([1.0], [[1.0]], [5.0], ["<="], free=[True])
+    res = solve_lp([1.0], [[1.0]], [5.0], free=[True])
     assert res.status == "optimal"
     assert res.value == pytest.approx(5.0, abs=1e-9)
 
@@ -105,10 +81,10 @@ def _random_bounded_lp(rng):
     m = int(rng.integers(1, 9))
     A = rng.normal((m, n))
     x0 = np.abs(rng.normal(n))  # interior feasible point
-    b = A @ x0 + np.abs(rng.normal(m)) + 0.1
+    b = np.abs(A @ x0) + np.abs(rng.normal(m)) + 0.1  # b >= 0: x = 0 is feasible too
     c = rng.normal(n)
     ub = np.abs(rng.normal(n)) * 3.0 + 1.0  # x <= ub as n more rows
-    return c, np.vstack([A, np.eye(n)]), np.concatenate([b, ub]), ["<="] * (m + n)
+    return c, np.vstack([A, np.eye(n)]), np.concatenate([b, ub])
 
 
 def test_agrees_with_vertex_enumeration_oracle():
@@ -121,28 +97,10 @@ def test_agrees_with_vertex_enumeration_oracle():
         assert oracle is not None
         assert res.value == pytest.approx(oracle, abs=1e-8), f"trial {trial}"
         # returned point is feasible
-        c, A, b, _ = lp
+        c, A, b = lp
         assert np.all(A @ res.x <= b + 1e-8)
         assert np.all(res.x >= -1e-8)
         assert res.value == pytest.approx(float(c @ res.x), abs=1e-9)
-
-
-def test_equality_constrained_against_oracle():
-    rng = RngStream(77)
-    for trial in range(60):
-        sub = rng.substream("eq", trial)
-        n = int(sub.integers(2, 6))
-        m = int(sub.integers(1, n))
-        A = sub.normal((m, n))
-        x0 = np.abs(sub.normal(n))
-        b = A @ x0
-        c = sub.normal(n)
-        ub = np.abs(sub.normal(n)) * 2 + np.abs(x0) + 0.5  # x <= ub as n more rows
-        lp = (c, np.vstack([A, np.eye(n)]), np.concatenate([b, ub]), ["="] * m + ["<="] * n)
-        res = solve_lp(*lp)
-        assert res.status == "optimal"
-        oracle = lp_vertex_oracle(*lp)
-        assert res.value == pytest.approx(oracle, abs=1e-8), f"trial {trial}"
 
 
 def test_deterministic_resolve():

@@ -14,10 +14,10 @@ from nsplab.solver import (
     RecoveryResult,
     best_s_term_error,
     evaluate_recovery,
-    solve_bp_lp,
     solve_l1_synthesis,
 )
 from nsplab.subgaussian import make_spec, sample_measurement_matrix
+from oracles import bp_objective_oracle
 
 
 def certified_optimum(B, y, eps, x_approx):
@@ -76,28 +76,32 @@ class TestBestSTerm:
 
 
 class TestBasisPursuitLp:
+    """Basis pursuit, the eps = 0 LP, solved by the homotopy."""
+
     def test_identity(self):
         y = RngStream(80).normal(5)
-        res = solve_bp_lp(np.eye(5), y)
+        res = solve_l1_synthesis(np.eye(5), y)
         assert res.status == "converged"
         assert np.allclose(res.x_hat, y, atol=1e-9)
 
     def test_three_column(self):
-        res = solve_bp_lp(np.array([[1.0, 0, 1], [0, 1, 1]]), np.array([1.0, 1.0]))
+        res = solve_l1_synthesis(np.array([[1.0, 0, 1], [0, 1, 1]]), np.array([1.0, 1.0]))
+        assert res.status == "converged"
         assert np.allclose(res.x_hat, [0, 0, 1], atol=1e-9)
         assert res.objective == pytest.approx(1.0, abs=1e-9)
 
     def test_tie_objective_only(self):
-        res = solve_bp_lp(np.array([[1.0, 1.0]]), np.array([2.0]))
+        res = solve_l1_synthesis(np.array([[1.0, 1.0]]), np.array([2.0]))
+        assert res.status == "converged"
         assert res.objective == pytest.approx(2.0, abs=1e-9)
-        # deterministic: re-solving returns the same vertex
-        res2 = solve_bp_lp(np.array([[1.0, 1.0]]), np.array([2.0]))
+        # deterministic: re-solving returns the same point
+        res2 = solve_l1_synthesis(np.array([[1.0, 1.0]]), np.array([2.0]))
         assert np.array_equal(res.x_hat, res2.x_hat)
 
     def test_infeasible_when_y_outside_range(self):
         B = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank one
-        res = solve_bp_lp(B, np.array([1.0, 0.0]))
-        assert res.status == "infeasible"
+        res = solve_l1_synthesis(B, np.array([1.0, 0.0]))
+        assert res.status == "infeasible" and res.x_hat is None
 
     def test_minimality_against_planted_points(self):
         rng = RngStream(81)
@@ -107,7 +111,7 @@ class TestBasisPursuitLp:
             x0 = np.zeros(9)
             idx = sub.permutation(9)[:3]
             x0[idx] = sub.normal(3)
-            res = solve_bp_lp(B, B @ x0)
+            res = solve_l1_synthesis(B, B @ x0)
             assert res.status == "converged"
             assert res.objective <= np.abs(x0).sum() + 1e-8
             assert res.residual_norm <= 1e-7 * max(1.0, np.linalg.norm(B @ x0))
@@ -156,28 +160,27 @@ class TestSplitting:
             x0 = np.zeros(40)
             x0[sub.permutation(40)[:3]] = sub.normal(3)
             y = B @ x0
-            lp = solve_bp_lp(B, y)
             res = solve_l1_synthesis(B, y)
             assert res.status == "converged"
-            assert res.objective == pytest.approx(lp.objective, abs=1e-9)
+            assert res.objective == pytest.approx(bp_objective_oracle(B, y), abs=1e-9)
 
 
 @pytest.mark.parametrize(
-    "solve, args",
+    "args",
     [
-        (solve_bp_lp, (np.eye(3), np.ones(2))),
-        (solve_l1_synthesis, (np.eye(3), np.ones(2))),
-        (solve_l1_synthesis, (np.eye(3), np.ones(3), -0.1)),
-        (solve_l1_synthesis, (np.eye(3), np.ones(3), math.nan)),
-        (solve_bp_lp, (np.ones(3), np.ones(3))),
-        (solve_l1_synthesis, (np.eye(3), np.array([1.0, math.inf, 0.0]))),
+        (np.eye(3), np.ones(2)),
+        (np.eye(3), np.ones(3), -0.1),
+        (np.eye(3), np.ones(3), math.nan),
+        (np.ones(3), np.ones(3)),
+        (np.eye(3), np.array([1.0, math.inf, 0.0])),
     ],
-    ids=["lp-y-length", "splitting-y-length", "splitting-eps-negative", "splitting-eps-nan",
-         "lp-B-1d", "splitting-y-infinite"],
+    ids=["splitting-y-length", "splitting-eps-negative", "splitting-eps-nan",
+         "splitting-B-1d", "splitting-y-infinite"],
 )
-def test_recovery_routes_share_input_check(solve, args):
+def test_recovery_routes_share_input_check(args):
+    # eps = 0 (basis pursuit) and eps > 0 take the same check
     with pytest.raises(DomainError):
-        solve(*args)
+        solve_l1_synthesis(*args)
 
 
 def _planted(seed, m, n, s, eps):
@@ -267,13 +270,11 @@ def _assert_kkt(B, y, eps, res):
 
 
 def _against_oracle(B, y, eps):
-    """Solve, assert KKT, and match the oracle: the LP at eps = 0, else the certified optimum."""
+    """Solve, assert KKT, and match the oracle: HiGHS at eps = 0, else the certified optimum."""
     res = solve_l1_synthesis(B, y, eps)
     _assert_kkt(B, y, eps, res)
     if eps == 0.0:
-        lp = solve_bp_lp(B, y)
-        assert lp.status == "converged"
-        assert res.objective == pytest.approx(lp.objective, abs=1e-9)
+        assert res.objective == pytest.approx(bp_objective_oracle(B, y), abs=1e-9)
     else:
         x, certified = certified_optimum(B, y, eps, res.x_hat)
         assert certified
@@ -389,7 +390,7 @@ class TestRecoveryNspLink:
             sub = rng.substream("plant", trial)
             x0 = np.zeros(7)
             x0[int(sub.integers(0, 7))] = float(sub.signs()) * (1.0 + sub.uniform())
-            res = solve_bp_lp(B, B @ x0)
+            res = solve_l1_synthesis(B, B @ x0)
             assert np.max(np.abs(res.x_hat - x0)) < 1e-6
 
     def test_failed_certificate_witness_planting_fails(self):
@@ -402,7 +403,7 @@ class TestRecoveryNspLink:
         T = list(cert.witness_support)
         x0 = np.zeros(4)
         x0[T] = cert.witness[T]
-        res = solve_bp_lp(B, B @ x0)
+        res = solve_l1_synthesis(B, B @ x0)
         assert np.max(np.abs(res.x_hat - x0)) > 1e-6
 
 
@@ -410,7 +411,7 @@ class TestEvaluate:
     def test_exact_recovery_report(self):
         D = make_dictionary("identity", 4, 4)
         x0 = np.array([0.0, 2.0, 0.0, 0.0])
-        res = solve_bp_lp(np.eye(4), x0)
+        res = solve_l1_synthesis(np.eye(4), x0)
         rep = evaluate_recovery(
             x0, res, D.matrix, RecoveryBoundInputs(gamma=0.5, eta=1.0, eps=0.0, C=1.0, sigma=1.0, s=1)
         )
@@ -420,7 +421,7 @@ class TestEvaluate:
 
     def test_bound_arithmetic(self):
         D = make_dictionary("identity", 3, 3)
-        res = solve_bp_lp(np.eye(3), np.array([1.0, 0, 0]))
+        res = solve_l1_synthesis(np.eye(3), np.array([1.0, 0, 0]))
         rep = evaluate_recovery(
             np.array([1.0, 0, 0]),
             res,
@@ -432,7 +433,7 @@ class TestEvaluate:
 
     def test_bound_examples(self):
         D = make_dictionary("identity", 3, 3)
-        res = solve_bp_lp(np.eye(3), np.array([1.0, 0, 0]))
+        res = solve_l1_synthesis(np.eye(3), np.array([1.0, 0, 0]))
         # exact s-sparse signal and no noise: the bound is zero
         rep = evaluate_recovery(
             np.array([1.0, 0, 0]),
@@ -445,7 +446,7 @@ class TestEvaluate:
         x0 = np.array([2.0, 1.0, 0.0])
         rep = evaluate_recovery(
             x0,
-            solve_bp_lp(np.eye(3), x0),
+            solve_l1_synthesis(np.eye(3), x0),
             D.matrix,
             RecoveryBoundInputs(gamma=0.5, eta=1.0, eps=0.0, C=1.0, sigma=1.0, s=1),
         )
@@ -473,7 +474,7 @@ class TestEvaluate:
         x0 = np.zeros(5)
         x0[0] = 1.0
         B = rng.normal((4, 3)) @ M
-        res = solve_bp_lp(B, B @ x0)
+        res = solve_l1_synthesis(B, B @ x0)
         rep = evaluate_recovery(
             x0, res, D.matrix, RecoveryBoundInputs(gamma=0.7, eta=0.5, eps=0.3, C=1.0, sigma=2.0, s=2)
         )
