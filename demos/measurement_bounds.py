@@ -21,7 +21,7 @@ from nsplab import (
 b = BoundInputs(
     eta=1.0, gamma=0.5, rho=1.0,
     alpha=math.sqrt(2 / math.pi), sigma=1.0, C=1.0,
-    s=2, n=100, d=50, kappa=1.0,
+    s=2, n=100, kappa=1.0,
 )
 
 print("inputs: eta=1, gamma=0.5, rho=1, standard Gaussian rows, s=2, n=100")
@@ -34,7 +34,7 @@ print("\nhomogeneity: doubling eta divides every bound by 4")
 for fid in FORMULA_IDS:
     w = 3.0 if fid == "thm_S" else None
     b2 = BoundInputs(eta=2.0, gamma=0.5, rho=1.0, alpha=b.alpha, sigma=1.0,
-                     C=1.0, s=2, n=100, d=50, kappa=1.0)
+                     C=1.0, s=2, n=100, kappa=1.0)
     print(f"  {fid:>15}: ratio = {m_min(fid, b, width=w) / m_min(fid, b2, width=w):.1f}")
 
 print("\nsuccess probability grows like 1 - exp(-m * rate):")

@@ -43,7 +43,6 @@ from .numerics import (
     write_vector_text,
 )
 from .rng import RngStream, stable_stream_id
-from .simplex import LpResult, solve_lp
 from .smallball import (
     FORMULA_IDS,
     BoundInputs,

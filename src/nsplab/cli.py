@@ -36,7 +36,6 @@ def _cmd_bounds(args) -> int:
         C=args.C,
         s=args.s,
         n=args.n,
-        d=args.d,
         kappa=args.kappa,
     )
     rows = bounds_table(b, width=args.width, m=args.m)
@@ -96,7 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--C", type=float, required=True)
-    p.add_argument("--d", type=int, default=1)
     p.add_argument("--kappa", type=float, default=1.0)
     p.add_argument("--width", type=float, default=None, help="w(D S) for the width-form row")
     p.add_argument("--m", type=int, default=None, help="row count for prob_at_m")

@@ -22,4 +22,4 @@ class NspRequiredError(NsplabError):
 
 
 class LpSolveError(NsplabError):
-    """An LP solve hit the pivot budget or ended without the optimum its caller needs."""
+    """A support problem of certify_nsp's LP route ended without a certified optimum."""

@@ -27,17 +27,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .dictionary import make_dictionary
+from .dictionary import KINDS as DICT_KINDS, make_dictionary
 from .errors import DomainError, NspRequiredError
 from .nsp import SgammaParams, certify_nsp, estimate_eta
 from .numerics import read_matrix_text
 from .rng import RngStream, stable_stream_id
 from .smallball import BoundInputs, bounds_table
 from .solver import solve_l1_synthesis
+from .subgaussian import KINDS as SPEC_KINDS
 from .subgaussian import condition_number, make_spec, sample_measurement_matrix
 from .width import crude_width_bound, width_DS_gamma_mc
 
 EXPERIMENTS = ("preserve_nsp", "phase_transition", "width_compare", "bounds_table")
+_CONFIG_KINDS = {
+    # a config cannot carry a matrix, so user_matrix is not one of its dictionaries
+    "dict_kind": tuple(k for k in DICT_KINDS if k != "user_matrix"),
+    "spec_kind": SPEC_KINDS,
+}
 
 
 @dataclass(frozen=True)
@@ -90,6 +96,11 @@ class ExperimentConfig:
                 raise DomainError(f"config key {f.name!r} must be {want}, got {value!r}")
         if self.experiment not in EXPERIMENTS:
             raise DomainError(f"unknown experiment {self.experiment!r}")
+        for key, kinds in _CONFIG_KINDS.items():
+            if getattr(self, key) not in kinds:
+                raise DomainError(
+                    f"config key {key!r} must be one of {kinds}, got {getattr(self, key)!r}"
+                )
         if self.trials < 1:
             raise DomainError("trials must be at least 1")
         if list(self.m_grid) != sorted(self.m_grid):
@@ -295,7 +306,6 @@ def run_bounds_table(cfg: ExperimentConfig) -> str:
         C=spec.width_constant,
         s=cfg.s,
         n=cfg.n,
-        d=cfg.d,
         kappa=condition_number(spec),
     )
     at_m = max(cfg.m_grid) if cfg.m_grid else None

@@ -15,10 +15,11 @@ taken from the kernel basis or, when it is the smaller side, from its
 orthonormal complement, and formed from the Householder reflectors of the
 block's QR factorization without building Q.
 When C(n, k-1) exceeds the budget, the LP route runs instead if its
-C(n, s) 2^(s-1) support LPs fit: for each support and sign pattern, a small
-LP over the kernel parametrization maximizes the signed head mass subject
-to unit tail mass.  Past both budgets the certificate is refused; the
-problem is NP-hard in general (Tillmann & Pfetsch, IEEE T-IT 2014).
+C(n, s) 2^(s-1) support problems fit: for each support and sign pattern,
+the largest signed head mass of a kernel vector with unit tail mass.  Each
+is solved as basis pursuit by the l1 homotopy of the solver module, the
+package's one l1 optimizer.  Past both budgets the certificate is refused;
+the problem is NP-hard in general (Tillmann & Pfetsch, IEEE T-IT 2014).
 
 The violating set
 
@@ -41,9 +42,11 @@ from .dictionary import full_spark_check
 from .errors import BudgetExceededError, DomainError, LpSolveError, NotFullSparkError
 from .numerics import RANK_TOL, as_matrix, as_vector, kernel_basis
 from .rng import RngStream
-from .simplex import solve_lp
+from .solver import solve_l1_synthesis
 
-CERT_BUDGET = 10**6      # circuit candidates or LPs, whichever route runs
+solve_lp = solve_l1_synthesis  # the support problems' solver; bench/tracer.py wraps this attribute
+
+CERT_BUDGET = 10**6      # circuit candidates or support problems, whichever route runs
 _CIRCUIT_CHUNK = 256     # (k-1)-subsets per batched QR: fewer numpy calls than 64 at
                          # peak memory within 1% of it on preserve; 2048 adds ~2 MB
 _ETA_STEP = 1e-2         # estimate_eta: first and largest gradient step
@@ -112,26 +115,30 @@ def in_S_gamma(x, p: SgammaParams, tol: float = 1e-9) -> bool:
     return head >= p.gamma * tail - tol
 
 
-def _support_lp(N, T, signs, n):
-    """Maximize sum_{i in T} signs_i x_i over x = N c with ||x_{T^c}||_1 <= 1."""
-    k = N.shape[1]
-    Tc = [j for j in range(n) if j not in T]
-    nt = len(Tc)
-    obj = np.concatenate([np.asarray(signs) @ N[list(T), :], np.zeros(nt)])
-    rows = np.zeros((2 * nt + 1, k + nt))
-    rhs = np.zeros(2 * nt + 1)
-    for jj, j in enumerate(Tc):
-        rows[2 * jj, :k] = N[j]
-        rows[2 * jj, k + jj] = -1.0
-        rows[2 * jj + 1, :k] = -N[j]
-        rows[2 * jj + 1, k + jj] = -1.0
-    rows[-1, k:] = 1.0
-    rhs[-1] = 1.0
-    free = [True] * k + [False] * nt
-    res = solve_lp(obj, rows, rhs, free=free)
-    if res.status != "optimal":
-        raise LpSolveError(f"support LP for T = {T} ended with status {res.status}")
-    return res.value, N @ res.x[:k]
+def _support_lp(N, U, sv, Vt, h, T):
+    """max h . c over c with ||N_Tc c||_1 <= 1, as basis pursuit.
+
+    N_Tc = N[T^c] = U diag(sv) Vt has full column rank k, so the tails are
+    the z with U2^T z = 0, U = [U1, U2], and c = Vt^T (U1^T z / sv).  The
+    objective is g . z, g = U1 (Vt h / sv), and by homogeneity its maximum is
+    |g| / min{||z||_1 : U2^T z = 0, u . z = 1}, u = g / |g|: basis pursuit on
+    the orthonormal rows [U2^T; u^T], which stay well posed when g is
+    rounding noise.  g = 0 gives 0.  Returns (value, N c scaled to unit tail
+    mass, or None for the value 0).
+    """
+    k = sv.size
+    g = U[:, :k] @ (Vt @ h / sv)
+    g_norm = float(np.linalg.norm(g))
+    if g_norm == 0.0:
+        return 0.0, None
+    C = np.vstack([U[:, k:].T, g / g_norm])
+    e_last = np.zeros(C.shape[0])
+    e_last[-1] = 1.0
+    res = solve_lp(C, e_last)
+    if res.status != "converged":
+        raise LpSolveError(f"support problem for T = {T} ended with status {res.status}")
+    c = Vt.T @ (U[:, :k].T @ res.x_hat / sv)
+    return g_norm / res.objective, N @ c / res.objective
 
 
 def _orthogonal_unit_vectors(M):
@@ -217,22 +224,25 @@ def _certify_circuits(N, s):
 
 
 def _certify_lp(N, s):
-    """gamma_star by one LP per support T and sign pattern on T.
+    """gamma_star by one support problem per support T and sign pattern on T.
 
     x -> -x maps each sign pattern onto its negation, so the first sign is
-    fixed to +1 and 2^(s-1) patterns suffice.  A kernel direction vanishing
-    on some T^c makes the ratio infinite and returns at once.
-    Returns (gamma_star, T, witness, LPs solved).
+    fixed to +1 and 2^(s-1) patterns suffice.  One SVD of N[T^c] serves all
+    patterns of T.  N has orthonormal columns, so a singular value of at
+    most RANK_TOL is a unit kernel vector with a vanishing tail on T^c: the
+    ratio is infinite and the walk returns at once.
+    Returns (gamma_star, T, witness, support problems solved).
     """
-    n = N.shape[0]
+    n, k = N.shape
     best, best_T, best_x, evaluated = 0.0, None, None, 0
     for T in itertools.combinations(range(n), s):
         Tc = [j for j in range(n) if j not in T]
-        Z = kernel_basis(N[Tc, :])
-        if Z.shape[1] > 0:
-            return math.inf, T, N @ Z[:, 0], evaluated
+        U, sv, Vt = np.linalg.svd(N[Tc, :])
+        if sv.size < k or sv.min(initial=math.inf) <= RANK_TOL:
+            return math.inf, T, N @ Vt[-1], evaluated
         for signs in itertools.product((1.0, -1.0), repeat=s - 1):
-            value, x = _support_lp(N, T, (1.0,) + signs, n)
+            h = N[list(T), :].T @ np.array((1.0,) + signs)
+            value, x = _support_lp(N, U, sv, Vt, h, T)
             evaluated += 1
             if value > best:
                 best, best_T, best_x = value, T, x
@@ -248,9 +258,11 @@ def certify_nsp(A, s: int, tol: float = 1e-9, budget: int = CERT_BUDGET) -> NspC
     not depend on it.
     The circuit route runs when its C(n, k-1) candidates fit the budget
     (k the kernel dimension), else the LP route when its C(n, s) 2^(s-1)
-    LPs do; past both, BudgetExceededError.  The witness is a kernel vector
-    with unit tail mass and head mass gamma_star on witness_support, or,
-    when gamma_star is infinite, a kernel vector supported inside it.
+    support problems do; past both, BudgetExceededError.  A support problem
+    whose solve is not certified raises LpSolveError.  The witness is a
+    kernel vector with unit tail mass and head mass gamma_star on
+    witness_support, or, when gamma_star is infinite, a kernel vector
+    supported inside it.
     """
     M = as_matrix(A)
     n = M.shape[1]

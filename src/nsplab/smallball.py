@@ -51,7 +51,6 @@ class BoundInputs:
     C: float
     s: int
     n: int
-    d: int
     kappa: float | None = None
 
     def __post_init__(self):

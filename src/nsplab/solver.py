@@ -6,7 +6,8 @@ min 1/2 ||y - B x||^2 + lam ||x||_1 from lam0 = max|B^T y| down to the lam
 where ||y - B x(lam)|| = eps (Osborne, Presnell & Turlach 2000; Donoho &
 Tsaig 2008).  The residual norm does not decrease as lam grows, so that
 point solves the eps-ball problem, and on each linear piece the stop is
-found in closed form.
+found in closed form.  It is the package's one l1 optimizer: certify_nsp's
+LP route solves its support problems as basis pursuit on it too.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ _BOUND_SLACK = 1e-6  # evaluate_recovery: absolute slack on both error bounds
 _SPAN_TOL = 1e-9
 _KKT_TOL = 1e-9
 # The path ends, with a least-squares polish on the active set, once the next
-# event lies below _LAM_FLOOR * lam0.
-_LAM_FLOOR = 1e-12
+# event lies below _LAM_FLOOR * lam0.  A rounding-noise coefficient (1e-15) over
+# a slope of 1e-3 leaves near 1e-12 lam0, and the active set left behind can
+# fail the optimality check (duplicated-column support problems of certify_nsp).
+_LAM_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -88,13 +91,15 @@ def solve_l1_synthesis(B, y, eps=0.0) -> RecoveryResult:
     correlation reaches +-lam joining or an active coefficient reaching zero
     leaving, unless the eps stop comes first.  A join counts only where the
     correlation reaches +-lam' from inside as lam' falls, and a leave only
-    where the coefficient moves toward zero.  Three rules keep the path well
-    posed: only columns outside the span of B_A may join (duplicated and
-    zero columns never do); the column that just left may not rejoin in the
-    same step on the side it left from, where it sits at lam (a crossing to
-    the other sign stays open); and once the next event lies below
-    1e-12 lam0 the path ends at lam = 0 with x_A = x_ls, the least-squares
-    polish that covers eps = 0.
+    where the coefficient moves toward zero.  An event whose computed lam'
+    rounds to at or above lam is a tie and happens at lam itself, in a
+    zero-length step.  Three rules keep the path well posed: only columns
+    outside the span of B_A may join (duplicated and zero columns never
+    do); the column that just left may not rejoin in the same step on the
+    side it left from, where it sits at lam (a crossing to the other sign
+    stays open); and once the next event lies below 1e-10 lam0 the path
+    ends at lam = 0 with x_A = x_ls, the least-squares polish that covers
+    eps = 0.
 
     Before returning, the point is checked against the optimality
     conditions (_kkt_holds).  status is 'converged' only when they hold,
@@ -147,9 +152,8 @@ def solve_l1_synthesis(B, y, eps=0.0) -> RecoveryResult:
                 drop = np.where(sigma * d < 0.0, x_ls / d, -1.0)
             if left >= 0:  # it sits on that side at lam; the other side stays open
                 (up if left_sign > 0.0 else down)[left] = -1.0
-            up[up >= lam] = -1.0
-            down[down >= lam] = -1.0
-            drop[drop >= lam] = -1.0
+            # an event computed at or above lam is a tie: it happens at lam itself
+            up, down, drop = np.minimum(up, lam), np.minimum(down, lam), np.minimum(drop, lam)
             j_up, j_down, i_drop = int(np.argmax(up)), int(np.argmax(down)), int(np.argmax(drop))
             lam_next = max(up[j_up], down[j_down], drop[i_drop], 0.0)
 

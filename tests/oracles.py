@@ -154,6 +154,38 @@ def bp_objective_oracle(B, y) -> float:
     return float(res.fun)
 
 
+def support_lp_oracle(N, T, signs) -> float:
+    """max signs . x_T over x = N c with ||x_{T^c}||_1 <= 1, by HiGHS.
+
+    The support problem of certify_nsp's LP route in its plain LP form,
+    independent of nsplab's basis-pursuit reformulation: variables c (free)
+    and t >= 0 with -t <= N[T^c] c <= t and sum(t) <= 1.  Returns inf when
+    the LP is unbounded.  HiGHS runs without presolve, which called
+    unbounded support problems "infeasible", although c = 0, t = 0 is
+    always feasible.  Skips the calling test without scipy.
+    """
+    optimize = pytest.importorskip("scipy.optimize")
+    N = as_matrix(N)
+    n, k = N.shape
+    Tc = [j for j in range(n) if j not in T]
+    rest, eye = N[Tc], np.eye(len(Tc))
+    A_ub = np.vstack([
+        np.hstack([rest, -eye]),
+        np.hstack([-rest, -eye]),
+        np.hstack([np.zeros((1, k)), np.ones((1, len(Tc)))]),
+    ])
+    b_ub = np.concatenate([np.zeros(2 * len(Tc)), [1.0]])
+    res = optimize.linprog(
+        -np.concatenate([np.asarray(signs, dtype=float) @ N[list(T)], np.zeros(len(Tc))]),
+        A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * k + [(0.0, None)] * len(Tc),
+        method="highs", options={"presolve": False},
+    )
+    if res.status == 3:
+        return math.inf
+    assert res.status == 0, res.message
+    return float(-res.fun)
+
+
 def eta_grid_oracle(D, p: SgammaParams, resolution: int = 2000) -> float:
     """Brute-force grid minimum of ||D x||_2 over S_gamma, for a d x n matrix D
     with n = 2 or 3 only."""

@@ -63,7 +63,7 @@ def test_criterion_1_formula_reproduction():
         for case in cases:
             b = BoundInputs(eta=case["eta"], gamma=case["gamma"], rho=case["rho"],
                             alpha=case["alpha"], sigma=case["sigma"], C=case["C"],
-                            s=case["s"], n=case["n"], d=8, kappa=case["kappa"])
+                            s=case["s"], n=case["n"], kappa=case["kappa"])
             for fid in FORMULA_IDS:
                 width = case["width"] if fid == "thm_S" else None
                 got = m_min(fid, b, width=width)
@@ -79,7 +79,7 @@ def test_criterion_1_formula_reproduction():
                     assert got_p == pytest.approx(want_p, rel=1e-12), fid
         # the headline magnitude quoted for standard Gaussian rows
         b = BoundInputs(eta=1.0, gamma=0.5, rho=1.0, alpha=STD_ALPHA, sigma=1.0,
-                        C=1.0, s=2, n=100, d=8, kappa=1.0)
+                        C=1.0, s=2, n=100, kappa=1.0)
         assert m_min("cor_sgauss", b) == pytest.approx(3.115e8, rel=2e-3)
 
 

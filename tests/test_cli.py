@@ -3,13 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from nsplab import nsp, simplex
+from nsplab import nsp
 from nsplab.cli import main
 from nsplab.numerics import write_matrix_text, write_vector_text
 from nsplab.rng import RngStream
-from nsplab.simplex import LpResult
 from nsplab.smallball import BoundInputs, m_min
-from nsplab.solver import solve_l1_synthesis
+from nsplab.solver import RecoveryResult, solve_l1_synthesis
 
 
 def run_cli(capsys, *argv):
@@ -28,15 +27,13 @@ def test_nsp_check(tmp_path, capsys):
     assert payload["gamma_star"] == pytest.approx(0.5, abs=1e-9)
 
 
-@pytest.mark.parametrize("failure", ["pivot_budget", "not_optimal"])
+@pytest.mark.parametrize("failure", ["not_optimal"])
 def test_nsp_check_lp_failure_exits_1(tmp_path, capsys, monkeypatch, failure):
-    # C(30, 14) circuit candidates exceed the budget, so s = 1 runs 30 LPs
+    # C(30, 14) circuit candidates exceed the budget, so s = 1 runs 30 support problems
     path = tmp_path / "A.txt"
     write_matrix_text(path, RngStream(9).normal((15, 30)))
-    if failure == "pivot_budget":
-        monkeypatch.setattr(simplex, "_MAX_PIVOTS", 0)
-    else:
-        monkeypatch.setattr(nsp, "solve_lp", lambda *args, **kwargs: LpResult("unbounded", None, None, 0))
+    uncertified = RecoveryResult(np.zeros(16), 1.0, 1.0, 1, "uncertified")
+    monkeypatch.setattr(nsp, "solve_lp", lambda *args, **kwargs: uncertified)
     code, out, err = run_cli(capsys, "nsp-check", "--A", str(path), "--s", "1")
     assert code == 1
     assert out == ""
@@ -73,7 +70,7 @@ def test_bounds_csv(capsys):
     assert set(rows) == {"thm_S", "thm_main", "cor_non", "cor_sgauss", "thm_main_gauss"}
     got = float(rows["cor_sgauss"][1])
     b = BoundInputs(eta=1.0, gamma=0.5, rho=1.0, alpha=0.7978845608028654,
-                    sigma=1.0, C=1.0, s=2, n=100, d=1, kappa=1.0)
+                    sigma=1.0, C=1.0, s=2, n=100, kappa=1.0)
     assert got == pytest.approx(m_min("cor_sgauss", b), rel=1e-12)
     assert got == pytest.approx(3.115e8, rel=2e-3)
     assert rows["thm_S"][1] == ""  # no width given
@@ -254,3 +251,14 @@ def test_config_value_of_wrong_type_exits_1(tmp_path, capsys, config):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [("dict_kind", "user_matrix"), ("spec_kind", "laplace")])
+def test_config_kind_it_cannot_build_exits_1(tmp_path, capsys, key, value):
+    # refused when the config is read, naming the key, before any matrix is built
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**PRESERVE_CFG, key: value}))
+    code, out, err = run_cli(capsys, "preserve", "--config", str(path), "--quiet")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: config key '{key}'")

@@ -70,6 +70,16 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "over",
+        [{"dict_kind": "gaussian"}, {"dict_kind": "user_matrix"}, {"spec_kind": "laplace"}],
+        ids=["dict_kind-unknown", "dict_kind-user_matrix", "spec_kind-unknown"],
+    )
+    def test_rejects_kind_a_config_cannot_build(self, over):
+        # user_matrix needs a matrix, which no config key can supply
+        with pytest.raises(DomainError, match=f"config key '{next(iter(over))}'"):
+            preserve_cfg(**over)
+
+    @pytest.mark.parametrize(
+        "over",
         [{"s_grid": (1.5,)}, {"n_grid": (14.0,)}, {"trials": 150.5}, {"gamma": "0.5"}, {"d": 5.0}],
         ids=["s_grid-float", "n_grid-float", "trials-float", "gamma-string", "d-float"],
     )

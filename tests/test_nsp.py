@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from nsplab.nsp import (
 )
 from nsplab.numerics import kernel_basis
 from nsplab.rng import RngStream
-from oracles import _head_sum, eta_grid_oracle, gamma_star_sampling_oracle
+from oracles import _head_sum, eta_grid_oracle, gamma_star_sampling_oracle, support_lp_oracle
 
 
 class TestInSgamma:
@@ -172,6 +173,8 @@ def _oracle_cases():
         "integer-3x7": ints.integers(-2, 3, (3, 7)).astype(float),
         "integer-4x6": ints.integers(-1, 2, (4, 6)).astype(float),
         "zero-column": np.column_stack([rng.normal((3, 5)), np.zeros(3)]),
+        # x_0 = 0 on the whole kernel, so the support problem at T = (0,) has value 0
+        "coloop": np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 1.0]]),
         "k=1": rng.normal((5, 6)),
         "zero-matrix": np.zeros((2, 4)),
         # k = 4: 2 of the 20 three-row blocks of N are rank deficient
@@ -314,28 +317,54 @@ class TestLpRouteRegression:
         assert certify_nsp(B14011, 1).gamma_star == pytest.approx(lp, abs=1e-9)
 
     def test_matches_highs(self):
-        optimize = pytest.importorskip("scipy.optimize")
         N = kernel_basis(B14011)
-        n, k = N.shape
-        best = 0.0
-        for j in range(n):
-            # max N[j] c  s.t.  |N[i] c| <= t_i (i != j),  sum t <= 1
-            rest = np.delete(N, j, axis=0)
-            eye = np.eye(n - 1)
-            A_ub = np.vstack([
-                np.hstack([rest, -eye]),
-                np.hstack([-rest, -eye]),
-                np.hstack([np.zeros((1, k)), np.ones((1, n - 1))]),
-            ])
-            b_ub = np.concatenate([np.zeros(2 * (n - 1)), [1.0]])
-            res = optimize.linprog(
-                -np.concatenate([N[j], np.zeros(n - 1)]), A_ub=A_ub, b_ub=b_ub,
-                bounds=[(None, None)] * k + [(0.0, None)] * (n - 1), method="highs",
-            )
-            assert res.status == 0
-            best = max(best, -res.fun)
+        best = max(support_lp_oracle(N, (j,), (1.0,)) for j in range(N.shape[0]))
         assert best == pytest.approx(1.9141967240286462, abs=1e-9)
         assert lp_gamma_star(B14011, 1) == pytest.approx(best, abs=1e-9)
+
+
+def oracle_gamma_star(N, s):
+    """gamma_star as the largest HiGHS support LP over supports and sign patterns."""
+    return max(
+        support_lp_oracle(N, T, (1.0,) + signs)
+        for T in itertools.combinations(range(N.shape[0]), s)
+        for signs in itertools.product((1.0, -1.0), repeat=s - 1)
+    )
+
+
+class TestLpRouteOracles:
+    """The LP route's basis-pursuit support problems against two independent routes."""
+
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize(
+        "name",
+        ["duplicated-columns", "Dbad", "integer-pairs", "integer-3x7", "integer-4x6", "coloop"],
+    )
+    def test_matches_support_lp_oracle(self, name, s):
+        A = ORACLE_CASES[name]
+        N = kernel_basis(A)
+        gamma, T, w, evaluated = _certify_lp(N, s)
+        assert_same_gamma(gamma, oracle_gamma_star(N, s))
+        if math.isfinite(gamma):
+            assert evaluated == math.comb(N.shape[0], s) * 2 ** (s - 1)
+            assert np.linalg.norm(A @ w) <= 1e-9 * max(np.linalg.norm(A), 1.0) * np.abs(w).sum()
+            assert np.abs(np.delete(w, T)).sum() == pytest.approx(1.0, abs=1e-9)
+            assert np.abs(w[list(T)]).sum() == pytest.approx(gamma, abs=1e-9)
+
+    def test_integer_matrices_match_circuits(self):
+        # small integer entries tie the support problems' events; every third
+        # matrix repeats a column
+        rng = RngStream(45)
+        for trial in range(60):
+            sub = rng.substream(trial)
+            n = int(sub.integers(4, 9))
+            A = sub.integers(-2, 3, (int(sub.integers(1, n)), n)).astype(float)
+            if trial % 3 == 0:
+                A = np.column_stack([A, A[:, 0]])
+            if kernel_basis(A).shape[1] == 0:
+                continue
+            for s in (1, 2, 3):
+                assert_same_gamma(lp_gamma_star(A, s), certify_nsp(A, s).gamma_star)
 
 
 class TestEstimateEta:

@@ -27,7 +27,7 @@ STD_ALPHA = math.sqrt(2.0 / math.pi)
 
 
 def std_inputs(**over):
-    base = dict(eta=1.0, gamma=0.5, rho=1.0, alpha=STD_ALPHA, sigma=1.0, C=1.0, s=2, n=100, d=20, kappa=1.0)
+    base = dict(eta=1.0, gamma=0.5, rho=1.0, alpha=STD_ALPHA, sigma=1.0, C=1.0, s=2, n=100, kappa=1.0)
     base.update(over)
     return BoundInputs(**base)
 

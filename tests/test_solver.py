@@ -283,6 +283,56 @@ def _against_oracle(B, y, eps):
     return res
 
 
+def _rademacher_problems():
+    """Rademacher rows, identity dictionary (B = Phi), d = n = 20, s = 3: the
+    paper's subgaussian case, whose +-1 entries tie correlations and steps."""
+    rng = RngStream(270)
+    spec = make_spec("rademacher", 20, width_constant=1.0)
+    for m in (6, 8, 10, 12, 14, 16):
+        for trial in range(10):
+            sub = rng.substream(m, trial)
+            B = sample_measurement_matrix(spec, m, 20, sub)
+            x0 = np.zeros(20)
+            x0[np.sort(sub.permutation(20)[:3])] = sub.normal(3)
+            yield B, B @ x0, sub.unit_vector(m)
+
+
+# The support problem [Q2^T; g^T] z = e_4 of certify_nsp's LP route in its
+# unnormalized form, for the integer-4x6 matrix of test_nsp.py at T = (1,).
+# Its last row is +-0.2 throughout, so join events tie with the current lam.
+# The column-major layout is part of the instance: BLAS rounds the products
+# differently in row-major order, where the event lams happen to fall below lam.
+TIED_BP = np.asfortranarray([
+    [-0.5397635120884233, -0.5336322338264621, 0.533632233826462,
+     -0.26375047778225036, 0.26375047778225036],
+    [-0.5043091071049434, 0.08728298523016993, -0.08728298523016997,
+     0.8394375387826416, 0.16056246121735845],
+    [0.5043091071049435, -0.08728298523017006, 0.08728298523016993,
+     0.16056246121735843, 0.8394375387826416],
+    [0.2, -0.19999999999999996, 0.20000000000000015,
+     0.20000000000000007, -0.20000000000000012],
+])
+
+
+class TestTieRule:
+    """An event computed at or above the current lam happens at lam itself.
+
+    Dropping such events instead ended the path early: 10 of these 120
+    Rademacher solves, and the tied support problem, came back uncertified.
+    """
+
+    @pytest.mark.parametrize("eps", [0.0, 0.01])
+    def test_rademacher_identity_batch_converges(self, eps):
+        for B, y, u in _rademacher_problems():
+            _against_oracle(B, y + eps * u, eps)
+
+    def test_tied_support_problem(self):
+        y = np.array([0.0, 0.0, 0.0, 1.0])
+        res = _against_oracle(TIED_BP, y, 0.0)
+        assert res.objective == pytest.approx(5.0, abs=1e-9)
+        assert res.residual_norm <= 1e-12
+
+
 class TestHomotopyDegenerateInputs:
     @pytest.mark.parametrize("eps", [0.0, 0.05])
     def test_duplicated_column(self, eps):
