@@ -11,10 +11,13 @@ projection onto K of the rearranged vector h* (the magnitudes of h, largest
 first).  cone_projection_values takes raw rows h = D^T g and rearranges each
 once.  The projection is then exact: max(h* + lam* a, 0), with the
 multiplier lam* in closed form from prefix sums of h*, whose head and tail
-the rearrangement has already sorted (see _cone_multiplier).  By Moreau
-decomposition the same number is the distance from h* to the polar cone,
-the one-dimensional "dual" minimum, so one route serves both.  Closed-form
-bounds cover the quantity deterministically.
+the rearrangement has already sorted (see _project_draw_major).  That one
+routine works draw-major: a block of rows is transposed once, so each step
+is one vector operation across all draws, and every value keeps the bits a
+row-by-row computation gives.  By Moreau decomposition the same number is
+the distance from h* to the polar cone, the one-dimensional "dual" minimum,
+so one route serves both.  Closed-form bounds cover the quantity
+deterministically.
 
 The set's parameters are an SgammaParams(gamma, s); n is read from the rows,
 and the dictionary D is passed as its d x n matrix.
@@ -55,8 +58,19 @@ def unit_ball_width(n: int) -> float:
     return math.sqrt(2.0) * math.exp(math.lgamma((n + 1) / 2.0) - math.lgamma(n / 2.0))
 
 
-def _cone_multiplier(H: np.ndarray, p: SgammaParams) -> np.ndarray:
-    """Per-row KKT multiplier lam* >= 0 with P_K h = max(h + lam* a, 0).
+def _prefix_sums(X: np.ndarray) -> np.ndarray:
+    """Rows 0, 0 + X[0], (0 + X[0]) + X[1], ...: one vector add per row of X,
+    in the order of a cumsum along the row (which differs only in the sign
+    of a zero sum, and a rearrangement holds no -0.0)."""
+    P = np.zeros((X.shape[0] + 1, X.shape[1]))
+    for prev, x, nxt in zip(P, X, P[1:]):
+        np.add(prev, x, out=nxt)
+    return P
+
+
+def _project_draw_major(X: np.ndarray, p: SgammaParams) -> np.ndarray:
+    """Project in place, onto K, the rearranged rows held as the columns of
+    the (n, rows) array X, and return X.
 
     Each row h must be a rearrangement: nonnegative and nonincreasing.
     Projecting h onto K = {u >= 0, a.u >= 0}, a = (1,...,1, -gamma,...,-gamma)
@@ -84,41 +98,51 @@ def _cone_multiplier(H: np.ndarray, p: SgammaParams) -> np.ndarray:
 
         lam* = max(0, min_q max_{(q,r) != (0,0)} (gamma T_r - H_q) / (q + r gamma^2)),
 
-    and lam* = 0 when s = n (no tail: every u >= 0 lies in K).  The loop runs
-    over q and reuses one (rows, n-s+1) buffer, which keeps memory linear in n
-    and the peak flat while the caller still holds its raw rows.
+    and lam* = 0 when s = n (no tail: every u >= 0 lies in K).
+
+    The work runs draw-major, one draw per column, so every step is a vector
+    operation across all draws.  The prefix sums are n sequential vector
+    adds, the order of a row-wise cumsum; the ratio table is (n-s+1, rows),
+    one row per r, with the same subtractions and divisions; the max over r
+    and the min over q are exact.  So lam* and the projection have the bits
+    of a row-major computation.  The caller passes a transposed copy, so the
+    row-major rows it came from can be freed before the tables are built,
+    and the loop over q reuses one ratio buffer: memory stays at a few
+    copies of the block.  Refuses s > n.
     """
-    s, n, gamma = p.s, H.shape[1], p.gamma
-    if s == n:
-        return np.zeros(H.shape[0])
-    zero = np.zeros((H.shape[0], 1))
-    Hq = np.hstack([zero, H[:, :s].cumsum(axis=1)])
-    gT = gamma * np.hstack([zero, H[:, s:].cumsum(axis=1)])
-    r = np.arange(n - s + 1)
-    lam = (gT[:, 1:] / (r[1:] * gamma**2)).max(axis=1)  # q = 0; (0, 0) asks nothing
-    ratio = np.empty_like(gT)
-    for q in range(1, s + 1):
-        np.subtract(gT, Hq[:, q, None], out=ratio)
-        ratio /= q + r * gamma**2
-        lam = np.minimum(lam, ratio.max(axis=1))
-    return np.maximum(lam, 0.0)
+    s, n, gamma = p.s, X.shape[0], p.gamma
+    if s > n:
+        raise DomainError(f"s = {s} exceeds the row length n = {n}")
+    lam = np.zeros(X.shape[1])
+    if s < n:
+        Hq = _prefix_sums(X[:s])
+        gT = _prefix_sums(X[s:])
+        gT *= gamma
+        r = np.arange(n - s + 1)[:, None]
+        np.max(gT[1:] / (r[1:] * gamma**2), axis=0, out=lam)  # q = 0; (0, 0) asks nothing
+        ratio = np.empty_like(gT)
+        for q in range(1, s + 1):
+            np.subtract(gT, Hq[q], out=ratio)
+            ratio /= q + r * gamma**2
+            np.minimum(lam, ratio.max(axis=0), out=lam)
+        np.maximum(lam, 0.0, out=lam)
+    X[:s] += lam
+    X[s:] -= gamma * lam
+    return np.maximum(X, 0.0, out=X)
 
 
 def project_cone_batch(Hstar, p: SgammaParams) -> np.ndarray:
     """Row-wise Euclidean projection of rearranged rows of length n onto K:
     max(h* + lam* a, 0), exact.  Refuses s > n."""
-    Hstar = np.atleast_2d(np.asarray(Hstar, dtype=float))
-    n = Hstar.shape[1]
-    if p.s > n:
-        raise DomainError(f"s = {p.s} exceeds the row length n = {n}")
-    a = np.full(n, -p.gamma)
-    a[: p.s] = 1.0
-    return np.maximum(Hstar + _cone_multiplier(Hstar, p)[:, None] * a, 0.0)
+    X = np.atleast_2d(np.asarray(Hstar, dtype=float)).T.copy()
+    return _project_draw_major(X, p).T.copy()
 
 
 def cone_projection_values(H, p: SgammaParams) -> np.ndarray:
     """Per-row sup over S_gamma of <h, x>: the projection norm of the rearranged row h*."""
-    return np.linalg.norm(project_cone_batch(nonincreasing_rearrangement(H), p), axis=1)
+    X = _project_draw_major(np.atleast_2d(nonincreasing_rearrangement(H)).T.copy(), p)
+    # Summed row-major, in the order np.linalg.norm(..., axis=1) sums.
+    return np.sqrt(np.add.reduce(np.square(X, out=X).T.copy(), axis=1))
 
 
 # Same number by Moreau decomposition (||P_K h|| = dist(h, polar K)); the name

@@ -29,6 +29,18 @@ from oracles import (
 )
 
 
+# Raw signed rows, listed before rearrangement.
+DEGENERATE = {
+    "ties": (SgammaParams(0.6, 2), [1.0, -0.5, 2.0, 2.0, 1.0, 2.0]),
+    "all-tied": (SgammaParams(0.6, 2), [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
+    "s=n": (SgammaParams(0.4, 5), [-1.0, 2.0, 0.5, -3.0, 0.0]),
+    "gamma=1": (SgammaParams(1.0, 2), [0.3, -1.0, 2.0, 1.5, -0.2]),
+    "n=1": (SgammaParams(1.0, 1), [-0.7]),
+    "in-K": (SgammaParams(0.5, 1), [3.0, 1.0, 0.5, 0.2]),  # lambda* = 0
+    "all-negative": (SgammaParams(0.7, 2), [-1.0, -0.2, -3.0, -0.1, -2.0]),
+}
+
+
 def max_abs_normal_quadrature(n, grid=900_001, upper=9.0):
     """Independent oracle: E max_i |g_i| = int_0^inf 1 - (2 Phi(t) - 1)^n dt."""
     t = np.linspace(0.0, upper, grid)
@@ -81,16 +93,7 @@ class TestProjection:
             s = int(sub.integers(1, n + 1))
             c = SgammaParams(float(sub.uniform() * 0.9 + 0.1), s)
             cases.append((c, nonincreasing_rearrangement(sub.normal(n) * 2.0), sub))
-        degenerate = [  # listed before rearrangement
-            (SgammaParams(0.6, 2), [1.0, -0.5, 2.0, 2.0, 1.0, 2.0]),  # ties
-            (SgammaParams(0.6, 2), [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),  # all tied
-            (SgammaParams(0.4, 5), [-1.0, 2.0, 0.5, -3.0, 0.0]),  # s = n
-            (SgammaParams(1.0, 2), [0.3, -1.0, 2.0, 1.5, -0.2]),  # gamma = 1
-            (SgammaParams(1.0, 1), [-0.7]),  # n = 1
-            (SgammaParams(0.5, 1), [3.0, 1.0, 0.5, 0.2]),  # h in K: lambda* = 0
-            (SgammaParams(0.7, 2), [-1.0, -0.2, -3.0, -0.1, -2.0]),  # all negative
-        ]
-        for i, (c, h) in enumerate(degenerate):
+        for i, (c, h) in enumerate(DEGENERATE.values()):
             cases.append((c, nonincreasing_rearrangement(h), rng.substream("degenerate", i)))
         for c, h, sub in cases:
             u = project_cone_batch(h, c)[0]
@@ -120,6 +123,52 @@ class TestProjection:
             sampled = float((U @ hstar).max())
             assert sampled <= proj_norm + 1e-9
             assert proj_norm - sampled <= 0.02 * max(proj_norm, 1e-9)
+
+
+class TestProjectionValues:
+    """cone_projection_values on raw signed rows, several to a call."""
+
+    @staticmethod
+    def check_block(H, c):
+        got = cone_projection_values(H, c)
+        Hstar = nonincreasing_rearrangement(np.atleast_2d(H))
+        same = np.linalg.norm(project_cone_batch(Hstar, c), axis=1)
+        assert got.tobytes() == same.tobytes()
+        oracle = np.linalg.norm(dykstra_projection(Hstar, c), axis=1)
+        assert np.max(np.abs(got - oracle)) <= 1e-9
+        return got
+
+    @pytest.mark.parametrize("case", list(DEGENERATE))
+    def test_degenerate_rows_in_one_block(self, case):
+        c, h = DEGENERATE[case]
+        h = np.array(h)
+        spike = np.zeros(h.size)
+        spike[-1] = -10.0  # in K: lambda* = 0
+        H = np.vstack([h, -h[::-1], 2.5 * h, spike, np.ones(h.size), h])
+        got = self.check_block(H, c)
+        assert got[0] == got[1] == got[-1]
+        in_cone = nonincreasing_rearrangement(H) @ cone_normal(c, h.size) >= 0.0
+        assert in_cone[3]
+        if c.s < h.size:  # the all-ones row lies outside K: lambda* > 0
+            assert not in_cone[4]
+
+    def test_one_dimensional_input(self):
+        c, h = DEGENERATE["ties"]
+        got = self.check_block(np.array(h), c)
+        assert got.shape == (1,)
+        assert got.tobytes() == cone_projection_values(np.array([h, h]), c)[:1].tobytes()
+
+    def test_long_rows_sum_in_norm_order(self):
+        # n >= 8: np.linalg.norm sums a row pairwise, not left to right
+        H = RngStream(67).normal((300, 29))
+        for c in (SgammaParams(0.5, 2), SgammaParams(0.9, 29)):
+            self.check_block(H, c)
+
+    def test_s_above_n_refused_by_both_entry_points(self):
+        c = SgammaParams(1.0, 3)
+        for route in (cone_projection_values, project_cone_batch):
+            with pytest.raises(DomainError, match="^s = 3 exceeds the row length n = 2$"):
+                route(np.ones((4, 2)), c)
 
 
 class TestWidthEstimators:
