@@ -3,8 +3,8 @@
 A matrix has the NSP of order s when every nonzero kernel vector carries
 less l1 mass on any s coordinates than on the rest.  The worst head/tail
 mass ratio is attained at a circuit, a kernel vector of minimal support, so
-the certifier enumerates the circuits, each read off a small QR
-factorization, and reports gamma_star, the largest ratio: below 1 the
+the certifier enumerates the circuits, each read off a table of the kernel
+basis's maximal minors, and reports gamma_star, the largest ratio: below 1 the
 property holds, and the witness shows where it is tightest.
 """
 

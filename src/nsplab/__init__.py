@@ -39,8 +39,6 @@ from .numerics import (
     operator_norm,
     read_matrix_text,
     read_vector_text,
-    write_matrix_text,
-    write_vector_text,
 )
 from .rng import RngStream, stable_stream_id
 from .smallball import (

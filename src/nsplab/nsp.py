@@ -10,11 +10,12 @@ point, and the extreme points are the normalized circuits (kernel vectors of
 minimal support).  So gamma_star is the largest ratio over the circuits,
 with T the s largest entries, and certify_nsp enumerates them: each
 (k-1)-subset of coordinates, k = dim ker A, pins down at most one,
-C(n, k-1) candidates in all.  Each is the null vector of a small block,
-taken from the kernel basis or, when it is the smaller side, from its
-orthonormal complement, and formed from the Householder reflectors of the
-block's QR factorization without building Q.
-When C(n, k-1) exceeds the budget, the LP route runs instead if its
+C(n, k-1) candidates in all.  By Cramer's rule each candidate's entries are
+maximal minors of the kernel basis, so one table of the C(n, k) minors,
+built by Laplace expansion from whichever side of the kernel has fewer
+rows, serves them all.
+When the C(n, k-1) candidates or the C(n, min(k, n-k)) entries of that
+table exceed the budget, the LP route runs instead if its
 C(n, s) 2^(s-1) support problems fit: for each support and sign pattern,
 the largest signed head mass of a kernel vector with unit tail mass.  Each
 is solved as basis pursuit by the l1 homotopy of the solver module, the
@@ -46,9 +47,13 @@ from .solver import solve_l1_synthesis
 
 solve_lp = solve_l1_synthesis  # the support problems' solver; bench/tracer.py wraps this attribute
 
-CERT_BUDGET = 10**6      # circuit candidates or support problems, whichever route runs
-_CIRCUIT_CHUNK = 256     # (k-1)-subsets per batched QR: fewer numpy calls than 64 at
-                         # peak memory within 1% of it on preserve; 2048 adds ~2 MB
+CERT_BUDGET = 10**6      # circuit candidates and minor-table entries, or support problems
+_CIRCUIT_CHUNK = 2**13   # subset entries per unranking and gather in the circuit route,
+                         # 64 KB per index array, and at least 256 candidates (as many
+                         # as the QR route took) so that long candidates amortize the
+                         # walk's numpy calls
+_CIRCUIT_TRUST = 1e-4    # a circuit candidate of l1 norm below this share of the typical
+                         # one is recomputed from its block: minor rounding is absolute
 _ETA_STEP = 1e-2         # estimate_eta: first and largest gradient step
 _ETA_MAX_ITER = 10_000   # estimate_eta: gradient steps per restart
 _ETA_CONV_TOL = 1e-9     # estimate_eta: stop once a step moves x less than this
@@ -141,86 +146,197 @@ def _support_lp(N, U, sv, Vt, h, T):
     return g_norm / res.objective, N @ c / res.objective
 
 
-def _orthogonal_unit_vectors(M):
-    """A unit vector orthogonal to the p columns of each (p+1) x p block of M.
+def _binomials(n, top):
+    """binom[j, v] = C(v, j) for 0 <= j <= top and 0 <= v <= n, as int64
+    capped at 2^40.
 
-    LAPACK geqrf factors each block as M = Q R with Q = H_1 ... H_p, a product
-    of Householder reflectors, and R upper triangular, so R's last row is
-    zero and M^T q = R^T Q^T q = R^T e_{p+1} = 0 for q = Q e_{p+1}, whatever
-    the rank of M.  q is formed by applying H_p, ..., H_1 to e_{p+1}, one
-    reflector per step across the whole stack; Q itself is never built.
-    M has shape (c, p+1, p); the result has shape (c, p+1).
+    Row j is the running sum of row j-1 (C(v, j) is the sum of C(u, j-1)
+    over u < v).  The cap keeps the sums from overflowing; a capped entry
+    lies above every rank in use, so it only ever compares as large.
     """
-    c, p1, p = M.shape
-    q = np.zeros((c, p1))
-    q[:, p] = 1.0
-    h, tau = np.linalg.qr(M, mode="raw")
-    # h[:, j] is column j of the factored block: R above the diagonal, and
-    # below it the tail of H_j's vector, whose entry j is an implicit 1.
-    for j in range(p - 1, -1, -1):
-        v = h[:, j, j + 1 :]
-        w = tau[:, j] * (q[:, j] + np.einsum("ij,ij->i", v, q[:, j + 1 :]))
-        q[:, j] -= w
-        q[:, j + 1 :] -= w[:, None] * v
-    return q
+    binom = np.zeros((top + 1, n + 1), np.int64)
+    binom[0] = 1
+    for j in range(1, top + 1):
+        np.minimum(np.cumsum(binom[j - 1, :-1]), 2**40, out=binom[j, 1:])
+    return binom
+
+
+def _colex_walk(lo, hi, size, binom):
+    """The size-subsets of colex ranks lo, ..., hi-1, and the colex rank of
+    each with one element removed.
+
+    Returns S and drop, both (size, hi - lo): column c of S is the subset
+    s_0 < ... < s_{size-1} of rank lo + c, and drop[i, c] is the rank of
+    that subset minus s_i.  The rank is the sum of C(s_j, j+1), so the
+    largest element is the largest v with C(v, size) <= rank, and so on
+    down to s_0 = C(s_0, 1), the rank left.  Removing s_i leaves s_j at
+    position j for j < i, whose terms sum to the rank left once s_i is
+    found, and moves it to position j-1 for j > i, whose terms become
+    C(s_j, j).
+    """
+    rank = np.arange(lo, hi)
+    S = np.empty((size, hi - lo), np.intp)
+    drop = np.empty((size, hi - lo), np.intp)
+    moved = np.zeros(hi - lo, np.intp)
+    for j in range(size - 1, 0, -1):
+        up = binom[j + 1]
+        S[j] = up[1:].searchsorted(rank, side="right")
+        rank -= up.take(S[j])
+        np.add(rank, moved, out=drop[j])
+        moved += binom[j].take(S[j])
+    S[0] = rank
+    drop[0] = moved
+    return S, drop
+
+
+def _maximal_minors(M, binom):
+    """det M[:, S] for every r-subset S of the n columns of the r x n matrix
+    M, in colex order of S; binom is _binomials(n, top) for some top >= r.
+
+    Laplace expansion along the rows, one level per row: level L holds the
+    minors of the first L rows, det M[:L, S] = sum over i of
+    (-1)^(L-1+i) M[L-1, s_i] det M[:L-1, S minus s_i], L gather-multiply-adds
+    over the C(n, L) subsets, taken _CIRCUIT_CHUNK entries at a time.  Level
+    0 is the empty minor 1, so r = 0 gives [1.0].
+    """
+    r, n = M.shape
+    D = np.ones(1)
+    for L in range(1, r + 1):
+        total = int(binom[L, n])
+        sign = (-1.0) ** (L - 1 + np.arange(L))
+        step = max(1, _CIRCUIT_CHUNK // L)
+        level = np.empty(total)
+        for lo in range(0, total, step):
+            S, drop = _colex_walk(lo, min(lo + step, total), L, binom)
+            level[lo : lo + S.shape[1]] = sign @ (D.take(drop) * M[L - 1].take(S))
+        D = level
+    return D
+
+
+def _head_tail(a, s):
+    """Per column of a >= 0, the sum of its s largest entries and of the rest.
+
+    Each row passes down s running maxima; what falls out of the last one
+    is tail, so neither sum is a difference of larger ones.  a is consumed.
+    On the benchmark's shapes this is as fast as sorting each column, and
+    the process's peak memory reads 0.2-0.3 MB lower.
+    """
+    top = [np.zeros(a.shape[1]) for _ in range(s)]
+    tail = np.zeros(a.shape[1])
+    for v in a:
+        for q in range(s):
+            kept = np.maximum(top[q], v)
+            np.minimum(top[q], v, out=v)
+            top[q] = kept
+        tail += v
+    return sum(top), tail
+
+
+def _block_null_vectors(N, W):
+    """For each row w of W, a unit kernel vector N v vanishing off w: v is
+    the last right singular vector of the (k-1) x k block N[Z], Z the
+    coordinates not in w.  Returns the vectors restricted to w, row by row.
+    """
+    c, n = W.shape[0], N.shape[0]
+    keep = np.zeros((c, n), dtype=bool)
+    keep[np.arange(c)[:, None], W] = True
+    Z = np.nonzero(~keep)[1].reshape(c, n - W.shape[1])
+    v = np.linalg.svd(N[Z])[2][:, -1]
+    return np.take_along_axis(v @ N.T, W, axis=1)
 
 
 def _certify_circuits(N, s):
     """gamma_star as the largest head/tail ratio over the kernel's circuits.
 
-    Each (k-1)-subset Z of coordinates yields a unit kernel vector x with
-    x_Z = 0.  When the kernel vectors vanishing on Z form a line, x is the
-    circuit on that line, and every circuit arises this way; otherwise it is
-    some other kernel vector, which cannot exceed gamma_star.  Subsets are
-    taken _CIRCUIT_CHUNK at a time, so memory stays flat in C(n, k-1).
+    Candidates.  Each (k-1)-subset Z of coordinates, in lexicographic order,
+    yields a kernel vector x with x_Z = 0, supported on the n-k+1 coordinates
+    W = [n] minus Z.  When N[Z] has full rank k-1, the kernel vectors that
+    vanish on Z form a line, and x is the circuit on it.  Every circuit C
+    arises so: the kernel vectors vanishing on C^c form a line (a second one
+    would combine with the first to vanish on more of C), so N[C^c] has rank
+    k-1, and k-1 independent rows of it give a Z.
 
-    x is the null vector of a p x (p+1) block, taken from whichever side
-    of the kernel is smaller:
-    * kernel side, p = k-1: x = N q with N[Z] q = 0;
-    * row-space side, p = n-k, when n-k < k-1: with R the orthonormal
-      complement of N, x is q scattered onto W = [n] minus Z, where
-      R[W]^T q = 0, since the kernel is the set of x with R^T x = 0.
-    Both sides walk the same subsets in the same order.  An infinite ratio
-    ends the walk, and the count of candidates evaluated stops at it.
+    Minors.  With R the n x (n-k) orthonormal complement of N, the kernel is
+    {x : R^T x = 0}, and Cramer's rule gives a null vector of the
+    (n-k) x (n-k+1) block R^T[:, W] as x_{w_i} = (-1)^i det R^T[:, W minus w_i]:
+    each row of R^T[:, W] x_W is the Laplace expansion of a determinant with
+    a repeated row.  So one table of the C(n, n-k) maximal minors of R^T
+    serves every candidate.  It is built from whichever of R^T and N^T has
+    fewer rows, r = min(k, n-k): [N R] is orthogonal, so by Jacobi's
+    complementary minor identity det R^T[:, U] = +-(-1)^(sum U)
+    det N^T[:, [n] minus U], one sign for all U.  Alternating the signs of
+    N^T's columns absorbs (-1)^(sum U), and complements run through the
+    colex order backwards, so rank q of the R^T table is rank
+    C(n, k) - 1 - q of the N^T one.  The walk runs on reflected coordinates
+    j -> n-1-j, where the supports W of the lexicographic Z are the
+    (n-k+1)-subsets in colex order, unranked _CIRCUIT_CHUNK entries at a
+    time, so memory holds the table and one chunk.
+
+    Weak candidates.  M = R^T or N^T has orthonormal rows, so by
+    Cauchy-Binet the C(n, r) minors have unit sum of squares, and a typical
+    candidate has l1 norm about (n-k+1) C(n, r)^(-1/2).  A computed minor is
+    off by at most gamma_{r(r+1)/2} perm|M[:, S]| (level L sums L products;
+    gamma_m = m u / (1 - m u), u = 2^-53), a worst case far above what
+    happens: against 40-digit minors of random orthonormal M, r = 3 to 10
+    and n up to 40, the error stayed below 1e-15 C(n, r)^(-1/2).  The
+    rounding is absolute, not relative to the candidate, so a candidate of
+    l1 norm below _CIRCUIT_TRUST times the typical one is recomputed by
+    _block_null_vectors, as a unit null vector of its block N[Z] from an
+    SVD: every candidate of a rank-deficient block, whose minors vanish and
+    whose computed vector is rounding noise, not a kernel vector, and the
+    circuit of a nearly singular one, whose minors carry a large relative
+    error.  That vector is a kernel vector vanishing on Z (some vector of
+    the null space when N[Z] is rank deficient), so its ratio cannot exceed
+    gamma_star, and no candidate is skipped.  On the others the minors'
+    relative error stays below about 1e-11.
+
+    A tail of at most RANK_TOL times the l1 norm is an infinite ratio; it
+    ends the walk, and the count of candidates evaluated stops at it.  The
+    witness is the winning candidate's signed minors, or its recomputed
+    vector, scaled to unit tail mass unless the ratio is infinite.
     Returns (gamma_star, T, witness, candidates evaluated).
     """
     n, k = N.shape
-    row_side = n - k < k - 1
-    if row_side:
-        R = np.linalg.qr(N, mode="complete")[0][:, k:]
-    subsets = itertools.combinations(range(n), k - 1)
-    best, best_x, evaluated = -1.0, None, 0
-    while True:
-        chunk = list(itertools.islice(subsets, _CIRCUIT_CHUNK))
-        if not chunk:
-            break
-        # explicit shape: at k = 1 the chunk is one empty subset, a (1, 0) array
-        Z = np.fromiter(
-            itertools.chain.from_iterable(chunk), np.intp, len(chunk) * (k - 1)
-        ).reshape(len(chunk), k - 1)
-        if row_side:
-            keep = np.ones((len(chunk), n), dtype=bool)
-            keep[np.arange(len(chunk))[:, None], Z] = False
-            W = np.nonzero(keep)[1].reshape(len(chunk), n - k + 1)
-            X = np.zeros((len(chunk), n))
-            X[keep] = _orthogonal_unit_vectors(R[W]).ravel()
-        else:
-            X = _orthogonal_unit_vectors(N[Z].transpose(0, 2, 1)) @ N.T
-        a = np.sort(np.abs(X), axis=1)
-        tail = a[:, : n - s].sum(axis=1)
-        head = a[:, n - s :].sum(axis=1)
-        with np.errstate(divide="ignore"):
-            ratio = np.where(tail > RANK_TOL * (head + tail), head / tail, math.inf)
+    p = n - k
+    binom = _binomials(n, p + 1)
+    flip = (-1.0) ** np.arange(n)
+    if k <= p:  # N^T table, read at complement ranks
+        table = _maximal_minors(N[::-1].T * flip, binom)
+        last = table.size - 1
+    else:
+        table = _maximal_minors(np.linalg.qr(N[::-1], mode="complete")[0][:, k:].T, binom)
+        last = None
+    weak = _CIRCUIT_TRUST * (p + 1) / math.sqrt(table.size)
+    total = int(binom[p + 1, n])
+    step = max(256, _CIRCUIT_CHUNK // (p + 1))
+    best, best_x, evaluated = -math.inf, None, 0
+    for lo in range(0, total, step):
+        S, drop = _colex_walk(lo, min(lo + step, total), p + 1, binom)
+        if last is not None:
+            np.subtract(last, drop, out=drop)
+        X = table.take(drop)  # signed minors; entry i of a candidate is (-1)^i x_{n-1-S[i]}
+        a = np.abs(X)
+        mass = a.sum(axis=0)
+        redo = np.flatnonzero(mass <= weak)
+        if redo.size:
+            X[:, redo] = _block_null_vectors(N, n - 1 - S[:, redo].T).T * flip[: p + 1, None]
+            a[:, redo] = np.abs(X[:, redo])
+            mass[redo] = a[:, redo].sum(axis=0)
+        head, tail = _head_tail(a, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(tail > RANK_TOL * mass, head / tail, math.inf)
         i = int(np.argmax(ratio))
         if ratio[i] == math.inf:
-            best, best_x = math.inf, X[i]
+            best, best_x = math.inf, (S[:, i], X[:, i])
             evaluated += i + 1
             break
-        evaluated += len(chunk)
+        evaluated += S.shape[1]
         if ratio[i] > best:
-            best, best_x = float(ratio[i]), X[i] / tail[i]
-    T = tuple(sorted(int(j) for j in np.argsort(-np.abs(best_x), kind="stable")[:s]))
-    return best, T, best_x, evaluated
+            best, best_x = float(ratio[i]), (S[:, i], X[:, i] / tail[i])
+    x = np.zeros(n)
+    x[n - 1 - best_x[0]] = best_x[1] * flip[: p + 1]
+    T = tuple(sorted(int(j) for j in np.argsort(-np.abs(x), kind="stable")[:s]))
+    return best, T, x, evaluated
 
 
 def _certify_lp(N, s):
@@ -256,9 +372,12 @@ def certify_nsp(A, s: int, tol: float = 1e-9, budget: int = CERT_BUDGET) -> NspC
     kernel vectors and |T| = s; the verdict holds iff gamma_star < 1 - tol,
     for a tol in (0, 1).  tol sets the verdict margin only: gamma_star does
     not depend on it.
-    The circuit route runs when its C(n, k-1) candidates fit the budget
-    (k the kernel dimension), else the LP route when its C(n, s) 2^(s-1)
-    support problems do; past both, BudgetExceededError.  A support problem
+    The circuit route runs when its C(n, k-1) candidates and the C(n, r)
+    entries of its minor table, r = min(k, n-k), both fit the budget (k the
+    kernel dimension).  Since C(n, k-1) (n-k+1) = k C(n, k), its walk then
+    reads at most (r+1) budget minors, and the table takes at most 8 budget
+    bytes.  Else the LP route runs when its C(n, s) 2^(s-1) support problems
+    fit the budget; past both, BudgetExceededError.  A support problem
     whose solve is not certified raises LpSolveError.  The witness is a
     kernel vector with unit tail mass and head mass gamma_star on
     witness_support, or, when gamma_star is infinite, a kernel vector
@@ -275,8 +394,9 @@ def certify_nsp(A, s: int, tol: float = 1e-9, budget: int = CERT_BUDGET) -> NspC
     if k == 0:
         return NspCertificate(0.0, "holds", s, tol, None, None, "circuits", 0)
     circuits = math.comb(n, k - 1)
+    minors = math.comb(n, min(k, n - k))
     lps = math.comb(n, s) * 2 ** (s - 1)
-    if circuits <= budget:
+    if max(circuits, minors) <= budget:
         method = "circuits"
         gamma_star, T, witness, evaluated = _certify_circuits(N, s)
     elif lps <= budget:
@@ -284,7 +404,8 @@ def certify_nsp(A, s: int, tol: float = 1e-9, budget: int = CERT_BUDGET) -> NspC
         gamma_star, T, witness, evaluated = _certify_lp(N, s)
     else:
         raise BudgetExceededError(
-            f"certification needs {circuits} circuit candidates or {lps} LPs, "
+            f"certification needs {circuits} circuit candidates over {minors} minors "
+            f"or {lps} LPs, "
             f"budget is {budget}"
         )
     verdict = "holds" if gamma_star < 1.0 - tol else "fails"

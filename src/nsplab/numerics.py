@@ -78,19 +78,8 @@ def kernel_basis(a) -> np.ndarray:
     return np.ascontiguousarray(vt[rank:].T)
 
 
-def write_matrix_text(path, a) -> None:
-    """Text format: '<rows> <cols>' then one space-separated row per line.
-
-    Entries carry 17 significant digits so a read-back is bit-faithful.
-    """
-    A = as_matrix(a)
-    lines = [f"{A.shape[0]} {A.shape[1]}"]
-    for row in A:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
 def read_matrix_text(path) -> np.ndarray:
+    """Text format: '<rows> <cols>' then one space-separated row per line."""
     text = Path(path).read_text(encoding="ascii")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -108,10 +97,6 @@ def read_matrix_text(path) -> np.ndarray:
             raise DomainError(f"{path}: row {i} has {len(vals)} entries, expected {cols}")
         data[i] = [float(v) for v in vals]
     return as_matrix(data)
-
-
-def write_vector_text(path, v) -> None:
-    write_matrix_text(path, as_vector(v)[None, :])
 
 
 def read_vector_text(path) -> np.ndarray:

@@ -1,12 +1,15 @@
 """Independent oracles and test-only checks shared by the test modules.
 
 Nothing in nsplab calls these: each one recomputes a quantity by a second
-route (quadrature, sampling, Dykstra, a grid, high precision) or checks one
-of the paper's lemmas empirically.  The checks return plain tuples; each test
-writes out the inequality it asserts.
+route (quadrature, sampling, Dykstra, a grid, high precision, QR null
+vectors) or checks one of the paper's lemmas empirically.  The checks return
+plain tuples; each test writes out the inequality it asserts.  The text
+writers make the input files the CLI tests read.
 """
 
+import itertools
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -16,6 +19,7 @@ import nsplab.width
 from nsplab.errors import DomainError
 from nsplab.nsp import SgammaParams
 from nsplab.numerics import (
+    RANK_TOL,
     as_matrix,
     as_vector,
     kernel_basis,
@@ -29,6 +33,23 @@ mpmath.mp.dps = 50
 
 _MC_BLOCK = 20_000
 _SAMPLE_BLOCK = 200_000
+
+
+def write_matrix_text(path, a) -> None:
+    """The text format nsplab reads: '<rows> <cols>', then one
+    space-separated row per line.
+
+    Entries carry 17 significant digits so a read-back is bit-faithful.
+    """
+    A = as_matrix(a)
+    lines = [f"{A.shape[0]} {A.shape[1]}"]
+    for row in A:
+        lines.append(" ".join(f"{v:.17g}" for v in row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def write_vector_text(path, v) -> None:
+    write_matrix_text(path, as_vector(v)[None, :])
 
 
 def mp_m_min(formula_id, eta, gamma, rho, alpha, sigma, C, s, n, kappa=None, width=None):
@@ -134,6 +155,86 @@ def gamma_star_sampling_oracle(A, s, samples, rng):
             best_c = C[i] / np.linalg.norm(C[i])
         radius *= 0.4
     return best
+
+
+def _orthogonal_unit_vectors(M):
+    """A unit vector orthogonal to the p columns of each (p+1) x p block of M.
+
+    LAPACK geqrf factors each block as M = Q R with Q = H_1 ... H_p, a product
+    of Householder reflectors, and R upper triangular, so R's last row is
+    zero and M^T q = R^T Q^T q = R^T e_{p+1} = 0 for q = Q e_{p+1}, whatever
+    the rank of M.  q is formed by applying H_p, ..., H_1 to e_{p+1}, one
+    reflector per step across the whole stack; Q itself is never built.
+    M has shape (c, p+1, p); the result has shape (c, p+1).
+    """
+    c, p1, p = M.shape
+    q = np.zeros((c, p1))
+    q[:, p] = 1.0
+    h, tau = np.linalg.qr(M, mode="raw")
+    # h[:, j] is column j of the factored block: R above the diagonal, and
+    # below it the tail of H_j's vector, whose entry j is an implicit 1.
+    for j in range(p - 1, -1, -1):
+        v = h[:, j, j + 1 :]
+        w = tau[:, j] * (q[:, j] + np.einsum("ij,ij->i", v, q[:, j + 1 :]))
+        q[:, j] -= w
+        q[:, j + 1 :] -= w[:, None] * v
+    return q
+
+
+def circuit_qr_oracle(N, s):
+    """gamma_star over the circuit candidates, each a QR null vector.
+
+    Independent of certify_nsp's minor table: for each (k-1)-subset Z, in
+    lexicographic order, the unit null vector of a p x (p+1) block from
+    Householder reflectors, on whichever side of the kernel is smaller:
+    * kernel side, p = k-1: x = N q with N[Z] q = 0;
+    * row-space side, p = n-k, when n-k < k-1: with R the orthonormal
+      complement of N, x is q scattered onto W = [n] minus Z, where
+      R[W]^T q = 0.
+    A rank-deficient block still gives a unit kernel vector, some vector of
+    the plane or larger space vanishing on Z, which cannot exceed
+    gamma_star, so no candidate is skipped.  A tail of at most RANK_TOL
+    times the l1 norm is an infinite ratio and ends the walk.
+    Returns (gamma_star, T, witness, candidates evaluated), as the circuit
+    route does.
+    """
+    n, k = N.shape
+    row_side = n - k < k - 1
+    if row_side:
+        R = np.linalg.qr(N, mode="complete")[0][:, k:]
+    subsets = itertools.combinations(range(n), k - 1)
+    best, best_x, evaluated = -1.0, None, 0
+    while True:
+        chunk = list(itertools.islice(subsets, 256))
+        if not chunk:
+            break
+        # explicit shape: at k = 1 the chunk is one empty subset, a (1, 0) array
+        Z = np.fromiter(
+            itertools.chain.from_iterable(chunk), np.intp, len(chunk) * (k - 1)
+        ).reshape(len(chunk), k - 1)
+        if row_side:
+            keep = np.ones((len(chunk), n), dtype=bool)
+            keep[np.arange(len(chunk))[:, None], Z] = False
+            W = np.nonzero(keep)[1].reshape(len(chunk), n - k + 1)
+            X = np.zeros((len(chunk), n))
+            X[keep] = _orthogonal_unit_vectors(R[W]).ravel()
+        else:
+            X = _orthogonal_unit_vectors(N[Z].transpose(0, 2, 1)) @ N.T
+        a = np.sort(np.abs(X), axis=1)
+        tail = a[:, : n - s].sum(axis=1)
+        head = a[:, n - s :].sum(axis=1)
+        with np.errstate(divide="ignore"):
+            ratio = np.where(tail > RANK_TOL * (head + tail), head / tail, math.inf)
+        i = int(np.argmax(ratio))
+        if ratio[i] == math.inf:
+            best, best_x = math.inf, X[i]
+            evaluated += i + 1
+            break
+        evaluated += len(chunk)
+        if ratio[i] > best:
+            best, best_x = float(ratio[i]), X[i] / tail[i]
+    T = tuple(sorted(int(j) for j in np.argsort(-np.abs(best_x), kind="stable")[:s]))
+    return best, T, best_x, evaluated
 
 
 def bp_objective_oracle(B, y) -> float:

@@ -5,10 +5,10 @@ import pytest
 
 from nsplab import nsp
 from nsplab.cli import main
-from nsplab.numerics import write_matrix_text, write_vector_text
 from nsplab.rng import RngStream
 from nsplab.smallball import BoundInputs, m_min
 from nsplab.solver import RecoveryResult, solve_l1_synthesis
+from oracles import write_matrix_text, write_vector_text
 
 
 def run_cli(capsys, *argv):

@@ -1,15 +1,18 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nsplab.dictionary import make_dictionary
+from nsplab import nsp as nsp_module
 from nsplab.errors import BudgetExceededError, NotFullSparkError
 from nsplab.nsp import (
     SgammaParams,
+    _binomials,
     _certify_lp,
-    _orthogonal_unit_vectors,
+    _maximal_minors,
     certificate_to_json,
     certify_nsp,
     d_nsp_check,
@@ -18,7 +21,14 @@ from nsplab.nsp import (
 )
 from nsplab.numerics import kernel_basis
 from nsplab.rng import RngStream
-from oracles import _head_sum, eta_grid_oracle, gamma_star_sampling_oracle, support_lp_oracle
+from oracles import (
+    _head_sum,
+    _orthogonal_unit_vectors,
+    circuit_qr_oracle,
+    eta_grid_oracle,
+    gamma_star_sampling_oracle,
+    support_lp_oracle,
+)
 
 
 class TestInSgamma:
@@ -91,6 +101,21 @@ class TestCertify:
         A = RngStream(26).normal((20, 40))
         with pytest.raises(BudgetExceededError):
             certify_nsp(A, 8)
+        # C(183, 2) = 16 653 circuits fit, but not their C(183, 3) = 1 004 731
+        # minors, nor C(183, 3) * 4 LPs
+        with pytest.raises(BudgetExceededError):
+            certify_nsp(RngStream(50).normal((180, 183)), 3)
+
+    def test_minor_table_counts_against_budget(self):
+        # k = 2 in n = 30: C(30, 1) = 30 candidates over C(30, 2) = 435 minors
+        A = RngStream(49).normal((28, 30))
+        circ = certify_nsp(A, 1)
+        assert (circ.method, circ.evaluated) == ("circuits", 30)
+        lp = certify_nsp(A, 1, budget=100)
+        assert (lp.method, lp.evaluated) == ("lp", 30)
+        assert_same_gamma(lp.gamma_star, circ.gamma_star)
+        with pytest.raises(BudgetExceededError):
+            certify_nsp(A, 2, budget=100)  # C(30, 2) * 2 = 870 LPs
 
     def test_matches_sampling_oracle(self):
         rng = RngStream(22)
@@ -245,9 +270,10 @@ class TestCircuitsVsLp:
 
 
     def test_forced_lp_fallback_on_each_side(self):
-        # full row rank m x n has k = n - m; the row-space side runs iff n-k < k-1
+        # full row rank m x n has k = n - m; the minor table comes from R^T
+        # iff n-k < k, and the QR oracle takes the row-space side iff n-k < k-1
         rng = RngStream(43)
-        for m, n in ((2, 8), (3, 7), (4, 8)):  # n-k = 2 < 5, 3 = 3, 4 > 3
+        for m, n in ((2, 8), (3, 7), (4, 8)):  # n-k = 2 < 6, 3 < 4, 4 = 4
             A = rng.normal((m, n))
             circuits = math.comb(n, n - m - 1)
             for s in (1, 2):
@@ -277,6 +303,102 @@ class TestCircuitCandidates:
             ref = np.linalg.qr(M, mode="complete")[0][:, :, -1]
             np.testing.assert_allclose(q, ref, atol=1e-14)
             np.testing.assert_allclose(np.einsum("cij,ci->cj", M, q), 0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("r, n", [(0, 4), (1, 1), (1, 5), (2, 2), (3, 7), (4, 4), (5, 9)])
+    def test_minor_table_matches_det(self, r, n):
+        rng = RngStream(46).substream(r, n)
+        G = rng.normal((r, n))
+        cases = {
+            "random": G,
+            "orthonormal rows": np.linalg.qr(G.T)[0].T,
+            "rank deficient": rng.normal((r, max(r - 1, 0))) @ rng.normal((max(r - 1, 0), n)),
+            "repeated and zero columns": np.column_stack([G[:, :1], G[:, : n - 2], np.zeros((r, 1))])[:, :n],
+        }
+        colex = sorted(itertools.combinations(range(n), r), key=lambda S: S[::-1])
+        for name, M in cases.items():
+            table = _maximal_minors(M, _binomials(n, r))
+            want = [np.linalg.det(M[:, list(S)]) if r else 1.0 for S in colex]
+            np.testing.assert_allclose(table, want, rtol=0, atol=1e-13, err_msg=name)
+
+    @pytest.mark.parametrize("recompute", ["weak", "all"])
+    def test_matches_qr_oracle(self, monkeypatch, recompute):
+        # integer entries and Gaussian ones; every third matrix repeats a
+        # column, every fourth ends in one or two zero columns, every fifth
+        # has near-duplicate column pairs (1e-6 apart), every tenth is zero
+        # (k = n); the table comes from N^T or R^T, and the oracle runs on
+        # either side.  "all" recomputes every candidate from its block.
+        recomputed = []
+        block_null_vectors = nsp_module._block_null_vectors
+        monkeypatch.setattr(
+            nsp_module, "_block_null_vectors",
+            lambda N, W: recomputed.append(len(W)) or block_null_vectors(N, W),
+        )
+        if recompute == "all":
+            monkeypatch.setattr(nsp_module, "_CIRCUIT_TRUST", math.inf)
+        rng = RngStream(47)
+        sides, ends = set(), set()
+        for trial in range(120):
+            sub = rng.substream(trial)
+            n = int(sub.integers(3, 10))
+            m = int(sub.integers(1, n))
+            A = sub.integers(-2, 3, (m, n)).astype(float) if trial % 2 else sub.normal((m, n))
+            if trial % 5 == 2:
+                q = min(n // 2, 2)
+                A[:, 1 : 2 * q : 2] = A[:, 0 : 2 * q : 2] + 1e-6 * sub.normal((m, q))
+            if trial % 3 == 0:
+                A = np.column_stack([A, A[:, 0]])
+            if trial % 4 == 0:
+                A = np.column_stack([A, np.zeros((m, 1 + trial % 8 // 4))])
+            if trial % 10 == 5:
+                A = np.zeros((1, n))
+            N = kernel_basis(A)
+            n, k = N.shape
+            if k == 0:
+                continue
+            sides.add((k <= n - k, n - k < k - 1))  # (table from N^T, oracle on R)
+            ends |= {name for name, hit in (("k = 1", k == 1), ("k = n", k == n)) if hit}
+            for s in range(1, min(3, n) + 1):
+                cert = certify_nsp(A, s)
+                gamma, _, _, evaluated = circuit_qr_oracle(N, s)
+                assert cert.method == "circuits"
+                if trial % 5 == 2 and math.isfinite(gamma):
+                    # gamma_star 3e5 to 4e9; both routes are off 40-digit
+                    # circuits by about 2^-53 gamma_star, relatively
+                    assert cert.gamma_star == pytest.approx(gamma, rel=max(1e-9, 1e-15 * gamma))
+                else:
+                    assert_same_gamma(cert.gamma_star, gamma)
+                assert cert.verdict == ("holds" if gamma < 1.0 - cert.tol else "fails")
+                w, T = cert.witness, list(cert.witness_support)
+                assert np.linalg.norm(A @ w) <= 1e-9 * max(np.linalg.norm(A), 1.0) * np.abs(w).sum()
+                if math.isfinite(gamma):
+                    assert cert.evaluated == evaluated == math.comb(n, k - 1)
+                    assert np.abs(np.delete(w, T)).sum() == pytest.approx(1.0, abs=1e-9)
+                    assert np.abs(w[T]).sum() == pytest.approx(cert.gamma_star, rel=1e-9, abs=1e-9)
+                    continue
+                # Both walks stop at the first infinite candidate.  On a
+                # full-rank block both read the one circuit; a rank-deficient
+                # block's null vector is any vector of a larger space, so the
+                # walks may part only there.
+                assert np.abs(np.delete(w, T)).sum() <= 1e-9 * np.abs(w).sum()
+                if cert.evaluated != evaluated:
+                    first = min(cert.evaluated, evaluated) - 1
+                    Z = next(itertools.islice(itertools.combinations(range(n), k - 1), first, None))
+                    assert np.linalg.matrix_rank(N[list(Z)]) < k - 1
+        assert sides == {(True, False), (False, False), (False, True)}
+        assert ends == {"k = 1", "k = n"}
+        assert recomputed  # rank-deficient blocks occur in both modes
+
+    def test_peak_memory_flat(self):
+        # C(20, 9) = 167 960 candidates; the C(20, 10) minor table alone takes 1.5 MB
+        A = RngStream(48).normal((10, 20))
+        tracemalloc.start()
+        try:
+            cert = certify_nsp(A, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.method == "circuits" and cert.evaluated == 167_960
+        assert peak <= 5 * 2**20
 
 
 # Phi @ D of the preserve campaign with config seed 14011, m = 6, trial 1.

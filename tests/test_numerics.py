@@ -10,11 +10,9 @@ from nsplab.numerics import (
     operator_norm,
     read_matrix_text,
     read_vector_text,
-    write_matrix_text,
-    write_vector_text,
 )
 from nsplab.rng import RngStream
-from oracles import soft_threshold
+from oracles import soft_threshold, write_matrix_text, write_vector_text
 
 
 class TestRearrangement:
