@@ -3,18 +3,14 @@
 min ||x||_1 subject to ||y - B x||_2 <= eps, solved by a LASSO homotopy,
 exact for any noise radius, basis pursuit (eps = 0) included.  When the
 composition certifies the NSP, recovery of planted sparse coefficients is
-exact, and the certified error bound holds on noisy instances.
+exact, and on noisy instances the solution meets the measurement ball.
 """
 
 import numpy as np
 
 from nsplab import (
-    RecoveryBoundInputs,
     RngStream,
-    SgammaParams,
     certify_nsp,
-    estimate_eta,
-    evaluate_recovery,
     make_dictionary,
     solve_l1_synthesis,
 )
@@ -38,17 +34,11 @@ path = solve_l1_synthesis(B, y)
 print(f"homotopy: err {np.abs(path.x_hat - x0).max():.2e}, objective {path.objective:.6f} "
       f"({path.iterations} path steps, {path.status})")
 
-print("\n== noisy recovery against the certified bound ==")
-gamma = 0.5 * (cert.gamma_star + 1.0)
-eta = estimate_eta(B, SgammaParams(gamma, 1), restarts=20, rng=rng.substream("eta"))
+print("\n== noisy recovery ==")
 eps = 0.05
 y_noisy = y + eps * rng.substream("noise").unit_vector(9)
 res = solve_l1_synthesis(B, y_noisy, eps)
-report = evaluate_recovery(
-    x0, res, D.matrix, RecoveryBoundInputs(gamma, eta.eta_upper, eps, C=1.0, sigma=1.0, s=1)
-)
-print(f"eps = {eps}: coefficient error {report.err_x:.4f} "
-      f"<= bound {report.coefficient_bound:.4f}")
+print(f"eps = {eps}: coefficient error {np.linalg.norm(res.x_hat - x0):.4f}")
 print(f"residual {res.residual_norm:.6f} = eps ({res.status})")
 
 print("\n== recovery must fail without the NSP ==")

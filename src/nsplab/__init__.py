@@ -7,12 +7,11 @@ Monte Carlo, evaluates closed-form measurement-count bounds, and runs
 reproducible preservation / phase-transition campaigns.
 """
 
-from .dictionary import Dictionary, full_spark_check, make_dictionary
+from .dictionary import Dictionary, make_dictionary
 from .errors import (
     BudgetExceededError,
     DomainError,
     LpSolveError,
-    NotFullSparkError,
     NsplabError,
     NspRequiredError,
 )
@@ -29,7 +28,6 @@ from .nsp import (
     NspCertificate,
     SgammaParams,
     certify_nsp,
-    d_nsp_check,
     estimate_eta,
     in_S_gamma,
 )
@@ -53,13 +51,7 @@ from .smallball import (
     success_probability,
     success_rate,
 )
-from .solver import (
-    RecoveryBoundInputs,
-    RecoveryResult,
-    best_s_term_error,
-    evaluate_recovery,
-    solve_l1_synthesis,
-)
+from .solver import RecoveryResult, solve_l1_synthesis
 from .subgaussian import SubgaussianSpec, make_spec, sample_measurement_matrix
 from .width import (
     WidthEstimate,

@@ -2,24 +2,18 @@
 
 A dictionary is a d x n matrix of column atoms.  make_dictionary returns it
 with its column-norm bound rho = max_i ||d_i||_2^2 and operator norm cached;
-every other function takes the matrix itself.  full_spark_check decides
-whether every d columns are linearly independent.
+every other function takes the matrix itself.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError
+from .errors import DomainError
 from .numerics import as_matrix, column_norm_bound, operator_norm
 from .rng import RngStream
-
-DET_TOL = 1e-10          # relative to the column-norm product: scale invariant
-SPARK_BUDGET = 10**6     # refuse enumerations beyond this many submatrices
 
 KINDS = ("gaussian_unit_norm", "identity", "parseval_random", "user_matrix")
 
@@ -74,33 +68,3 @@ def make_dictionary(kind, d, n, rng: RngStream | None = None, matrix=None) -> Di
     M = np.ascontiguousarray(M)
     M.flags.writeable = False
     return Dictionary(matrix=M, rho=column_norm_bound(M), op_norm=operator_norm(M))
-
-
-def full_spark_check(D, budget: int = SPARK_BUDGET) -> bool:
-    """True iff every d x d column submatrix of the matrix D is invertible.
-
-    The determinant threshold is relative to the product of the submatrix
-    column norms, so the verdict only depends on column directions.
-    """
-    M = as_matrix(D)
-    d, n = M.shape
-    if n < d:
-        raise DomainError("full spark needs at least d columns")
-    count = math.comb(n, d)
-    if count > budget:
-        raise BudgetExceededError(
-            f"full spark check needs {count} determinants, budget is {budget}"
-        )
-    col_norms = np.linalg.norm(M, axis=0)
-    combos = itertools.combinations(range(n), d)
-    chunk = max(1, min(count, 10_000))
-    while True:
-        block = list(itertools.islice(combos, chunk))
-        if not block:
-            return True
-        idx = np.array(block)
-        sub = M[:, idx].transpose(1, 0, 2)  # (batch, d, d)
-        dets = np.abs(np.linalg.det(sub))
-        norm_prod = np.prod(col_norms[idx], axis=1)
-        if np.any(dets <= DET_TOL * norm_prod):
-            return False

@@ -13,10 +13,6 @@ class BudgetExceededError(NsplabError):
     """A combinatorial guard was hit; the caller asked for too large an enumeration."""
 
 
-class NotFullSparkError(NsplabError):
-    """The dictionary-route check requires a full spark dictionary."""
-
-
 class NspRequiredError(NsplabError):
     """An experiment requires the base dictionary to satisfy the null space property."""
 

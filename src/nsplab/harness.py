@@ -326,8 +326,3 @@ _RUNNERS = {
 
 def run_experiment(cfg: ExperimentConfig) -> str:
     return _RUNNERS[cfg.experiment](cfg)
-
-
-def csv_body(text: str) -> str:
-    """CSV content with comment lines stripped: the part that must reproduce."""
-    return "\n".join(ln for ln in text.splitlines() if not ln.startswith("#")) + "\n"

@@ -39,8 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import full_spark_check
-from .errors import BudgetExceededError, DomainError, LpSolveError, NotFullSparkError
+from .errors import BudgetExceededError, DomainError, LpSolveError
 from .numerics import RANK_TOL, as_matrix, as_vector, kernel_basis
 from .rng import RngStream
 from .solver import solve_l1_synthesis
@@ -100,8 +99,6 @@ class EtaEstimate:
 
     eta_upper: float
     witness: np.ndarray
-    probes: int
-    restarts: int
 
 
 def in_S_gamma(x, p: SgammaParams, tol: float = 1e-9) -> bool:
@@ -465,7 +462,6 @@ def estimate_eta(
     G = M.T @ M
     best_val = math.inf
     best_x = None
-    probes = 0
     for r in range(restarts):
         sub = rng.substream("eta-restart", r)
         T = np.sort(sub.permutation(n)[: p.s])
@@ -498,7 +494,6 @@ def estimate_eta(
             y, fy = moved
             shift = float(np.linalg.norm(y - x))
             x, f = y, fy
-            probes += 1
             eta_step = min(eta_step * 1.5, _ETA_STEP)
             if shift < _ETA_CONV_TOL:
                 break
@@ -506,18 +501,4 @@ def estimate_eta(
         if val < best_val:
             best_val = val
             best_x = x
-    return EtaEstimate(best_val, best_x, probes, restarts)
-
-
-def d_nsp_check(D, Phi, s: int) -> NspCertificate:
-    """NSP of Phi with respect to the dictionary matrix D: for full spark D it
-    is equivalent to the plain NSP of Phi @ D, whose certificate is returned."""
-    M = as_matrix(D)
-    P = as_matrix(Phi)
-    if P.shape[1] != M.shape[0]:
-        raise DomainError(f"Phi has {P.shape[1]} columns, dictionary lives in R^{M.shape[0]}")
-    if not full_spark_check(M):
-        raise NotFullSparkError(
-            "dictionary is not full spark; the equivalence route does not apply"
-        )
-    return certify_nsp(P @ M, s)
+    return EtaEstimate(best_val, best_x)

@@ -21,6 +21,7 @@ the formulas verbatim.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -39,6 +40,10 @@ FORMULA_IDS = ("thm_S", "thm_main", "cor_non", "cor_sgauss", "thm_main_gauss")
 _SAMPLE_BLOCK = 100_000
 
 
+class _MissingInput(DomainError):
+    """A formula's extra input, the width or kappa, was not given."""
+
+
 @dataclass(frozen=True)
 class BoundInputs:
     """Inputs shared by the measurement-count formulas."""
@@ -54,21 +59,39 @@ class BoundInputs:
     kappa: float | None = None
 
     def __post_init__(self):
-        if not (self.eta > 0 and self.rho > 0 and self.alpha > 0 and self.sigma > 0 and self.C > 0):
-            raise DomainError("eta, rho, alpha, sigma, C must all be positive")
+        if not all(0.0 < v < math.inf for v in (self.eta, self.rho, self.alpha, self.sigma, self.C)):
+            raise DomainError("eta, rho, alpha, sigma, C must all be positive and finite")
         if not (0.0 < self.gamma < 1.0):
             raise DomainError(f"gamma must lie in (0, 1), got {self.gamma}")
         if not (1 <= self.s <= self.n):
             raise DomainError("need 1 <= s <= n")
-        if self.kappa is not None and not (self.kappa >= 1.0):
-            raise DomainError("kappa must be at least 1 when given")
+        if self.kappa is not None and not (1.0 <= self.kappa < math.inf):
+            raise DomainError("kappa must be finite and at least 1 when given")
 
     def _need_kappa(self, formula_id):
         if self.kappa is None:
-            raise DomainError(f"{formula_id} requires kappa")
+            raise _MissingInput(f"{formula_id} requires kappa")
         return self.kappa
 
 
+def _in_float_range(formula):
+    """Refuse with a DomainError a formula value that leaves the float range,
+    as finite inputs far from 1 make it do (eta = 1e-200, kappa = 1e200)."""
+
+    @functools.wraps(formula)
+    def checked(formula_id, *args, **kwargs):
+        try:
+            value = formula(formula_id, *args, **kwargs)
+        except ArithmeticError:  # a power overflows, or a denominator underflows to 0
+            value = math.inf
+        if not math.isfinite(value):
+            raise DomainError(f"{formula_id}: {formula.__name__} leaves the float range at these inputs")
+        return value
+
+    return checked
+
+
+@_in_float_range
 def m_min(formula_id: str, b: BoundInputs, width: float | None = None) -> float:
     """Minimal row count of the selected bound, exactly as printed."""
     if formula_id not in FORMULA_IDS:
@@ -76,7 +99,7 @@ def m_min(formula_id: str, b: BoundInputs, width: float | None = None) -> float:
     log_ns = math.log(math.sqrt(2.0) * b.n / b.s)
     if formula_id == "thm_S":
         if width is None:
-            raise DomainError("thm_S requires the width of D S")
+            raise _MissingInput("thm_S requires the width of D S")
         if width < 0:
             raise DomainError("width must be nonnegative")
         return 4.0**8 / b.eta**2 * (b.sigma**6 / b.alpha**6) * b.C**2 * width**2
@@ -104,6 +127,7 @@ def m_min(formula_id: str, b: BoundInputs, width: float | None = None) -> float:
     )
 
 
+@_in_float_range
 def success_rate(formula_id: str, b: BoundInputs) -> float:
     """Per-measurement exponent: success probability is 1 - exp(-m * rate)."""
     if formula_id in ("thm_S", "thm_main"):
@@ -207,24 +231,25 @@ def estimate_W(
         h = np.einsum("bm,bmd->bd", eps, phi) / math.sqrt(m)
         _projection_values(h, M, p, v[i : i + block])
     se = float(v.std(ddof=1) / math.sqrt(v.size)) if v.size > 1 else 0.0
-    return WidthEstimate(float(v.mean()), se, int(samples), "empirical_width", None)
+    return WidthEstimate(float(v.mean()), se)
 
 
 def bounds_table(b: BoundInputs, width: float | None = None, m: int | None = None) -> list:
     """Rows {formula_id, m_min, rate, prob_at_m} for all five formulas.
 
-    Formulas whose extra input (width, kappa) is missing get a None m_min;
+    Formulas whose extra input (width, kappa) is missing get a None m_min
+    (and cor_non a None rate); every other DomainError propagates.
     prob_at_m defaults to the probability at ceil(m_min) when m is omitted.
     """
     rows = []
     for fid in FORMULA_IDS:
         try:
             mm = m_min(fid, b, width=width)
-        except DomainError:
+        except _MissingInput:
             mm = None
         try:
             rate = success_rate(fid, b)
-        except DomainError:
+        except _MissingInput:
             rate = None
         at = m
         if at is None and mm is not None and mm > 0:

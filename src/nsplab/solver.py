@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import as_matrix, as_vector, operator_norm
+from .numerics import as_matrix, as_vector
 
-_BOUND_SLACK = 1e-6  # evaluate_recovery: absolute slack on both error bounds
 # solve_l1_synthesis: a column joins the path only if its distance to the span
 # of the active columns exceeds _SPAN_TOL times its norm, and the returned
 # point must meet the optimality conditions to _KKT_TOL (see _kkt_holds).
@@ -40,16 +39,6 @@ class RecoveryResult:
     residual_norm: float | None
     iterations: int                # homotopy path steps
     status: str                    # 'converged' | 'uncertified' | 'infeasible'
-
-
-def best_s_term_error(x, s: int) -> float:
-    """l1 distance to the nearest s-sparse vector: the n-s smallest |x_i| summed."""
-    v = np.abs(as_vector(x))
-    if not (0 <= s <= v.size):
-        raise DomainError(f"s must lie in [0, {v.size}], got {s}")
-    if s == 0:
-        return float(v.sum())
-    return float(np.sort(v)[: v.size - s].sum())
 
 
 def _kkt_holds(B, y, eps, x, v) -> bool:
@@ -189,62 +178,6 @@ def solve_l1_synthesis(B, y, eps=0.0) -> RecoveryResult:
         residual_norm=float(np.linalg.norm(y - B @ x)),
         iterations=steps,
         status=status,
-    )
-
-
-@dataclass(frozen=True)
-class RecoveryBoundInputs:
-    gamma: float
-    eta: float
-    eps: float
-    C: float
-    sigma: float
-    s: int
-
-    def __post_init__(self):
-        if not (0.0 < self.gamma < 1.0):
-            raise DomainError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not (self.eta > 0.0):
-            raise DomainError("eta must be positive")
-
-
-@dataclass(frozen=True)
-class RecoveryReport:
-    err_x: float
-    err_z: float
-    sigma_s: float
-    coefficient_bound: float
-    signal_bound: float
-    ok_x: bool
-    ok_z: bool
-
-
-def evaluate_recovery(x0, result: RecoveryResult, D, b: RecoveryBoundInputs) -> RecoveryReport:
-    """Compare achieved errors against the certified worst-case bounds, for a
-    dictionary matrix D.
-
-    coefficient bound: (2 gamma + 2)/(1 - gamma) sigma_s(x0) + 2 eps / (C sigma eta);
-    signal bound: ||D||_2 times the coefficient bound.
-    """
-    M = as_matrix(D)
-    x0v = as_vector(x0)
-    if result.x_hat is None:
-        raise DomainError("recovery result carries no solution")
-    sigma_s = best_s_term_error(x0v, b.s)
-    coeff_bound = (2.0 * b.gamma + 2.0) / (1.0 - b.gamma) * sigma_s + 2.0 * b.eps / (
-        b.C * b.sigma * b.eta
-    )
-    signal_bound = operator_norm(M) * coeff_bound
-    err_x = float(np.linalg.norm(result.x_hat - x0v))
-    err_z = float(np.linalg.norm(M @ (result.x_hat - x0v)))
-    return RecoveryReport(
-        err_x=err_x,
-        err_z=err_z,
-        sigma_s=sigma_s,
-        coefficient_bound=coeff_bound,
-        signal_bound=signal_bound,
-        ok_x=err_x <= coeff_bound + _BOUND_SLACK,
-        ok_z=err_z <= signal_bound + _BOUND_SLACK,
     )
 
 

@@ -46,8 +46,6 @@ _BLAS_SERIAL_MACS = 2**18
 class WidthEstimate:
     mean: float
     std_error: float
-    samples: int
-    estimator: str           # cone_projection_exact | empirical_width
     theory_bound: float | None = None
 
 
@@ -131,13 +129,6 @@ def _project_draw_major(X: np.ndarray, p: SgammaParams) -> np.ndarray:
     return np.maximum(X, 0.0, out=X)
 
 
-def project_cone_batch(Hstar, p: SgammaParams) -> np.ndarray:
-    """Row-wise Euclidean projection of rearranged rows of length n onto K:
-    max(h* + lam* a, 0), exact.  Refuses s > n."""
-    X = np.atleast_2d(np.asarray(Hstar, dtype=float)).T.copy()
-    return _project_draw_major(X, p).T.copy()
-
-
 def cone_projection_values(H, p: SgammaParams) -> np.ndarray:
     """Per-row sup over S_gamma of <h, x>: the projection norm of the rearranged row h*."""
     X = _project_draw_major(np.atleast_2d(nonincreasing_rearrangement(H)).T.copy(), p)
@@ -177,7 +168,7 @@ def width_DS_gamma_mc(D, p: SgammaParams, samples: int, rng: RngStream) -> Width
     se = float(v.std(ddof=1) / math.sqrt(v.size))
     rho = column_norm_bound(M)
     theory = theory_width_bound(p, M.shape[1], rho) if rho > 0.0 else 0.0
-    return WidthEstimate(float(v.mean()), se, samples, "cone_projection_exact", theory)
+    return WidthEstimate(float(v.mean()), se, theory)
 
 
 def theory_width_bound(p: SgammaParams, n: int, rho: float) -> float:

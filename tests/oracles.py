@@ -4,7 +4,8 @@ Nothing in nsplab calls these: each one recomputes a quantity by a second
 route (quadrature, sampling, Dykstra, a grid, high precision, QR null
 vectors) or checks one of the paper's lemmas empirically.  The checks return
 plain tuples; each test writes out the inequality it asserts.  The text
-writers make the input files the CLI tests read.
+writers make the input files the CLI tests read; best_s_term_error,
+project_cone_batch and csv_body are helpers that only the tests call.
 """
 
 import itertools
@@ -50,6 +51,21 @@ def write_matrix_text(path, a) -> None:
 
 def write_vector_text(path, v) -> None:
     write_matrix_text(path, as_vector(v)[None, :])
+
+
+def csv_body(text: str) -> str:
+    """CSV content with comment lines stripped: the part that must reproduce."""
+    return "\n".join(ln for ln in text.splitlines() if not ln.startswith("#")) + "\n"
+
+
+def best_s_term_error(x, s: int) -> float:
+    """l1 distance to the nearest s-sparse vector: the n-s smallest |x_i| summed."""
+    v = np.abs(as_vector(x))
+    if not (0 <= s <= v.size):
+        raise DomainError(f"s must lie in [0, {v.size}], got {s}")
+    if s == 0:
+        return float(v.sum())
+    return float(np.sort(v)[: v.size - s].sum())
 
 
 def mp_m_min(formula_id, eta, gamma, rho, alpha, sigma, C, s, n, kappa=None, width=None):
@@ -317,6 +333,13 @@ def cone_normal(p: SgammaParams, n: int) -> np.ndarray:
     a = np.full(n, -p.gamma)
     a[: p.s] = 1.0
     return a
+
+
+def project_cone_batch(Hstar, p: SgammaParams) -> np.ndarray:
+    """Row-wise Euclidean projection of rearranged rows of length n onto K:
+    the package's draw-major routine, one row per input row.  Refuses s > n."""
+    X = np.atleast_2d(np.asarray(Hstar, dtype=float)).T.copy()
+    return nsplab.width._project_draw_major(X, p).T.copy()
 
 
 def dykstra_projection(H, p: SgammaParams, tol=1e-13, max_sweeps=1_000_000):

@@ -19,10 +19,11 @@ from nsplab.nsp import SgammaParams, certify_nsp, estimate_eta
 from nsplab.numerics import nonincreasing_rearrangement
 from nsplab.rng import RngStream
 from nsplab.smallball import FORMULA_IDS, BoundInputs, m_min, success_probability
-from nsplab.solver import best_s_term_error, solve_l1_synthesis
+from nsplab.solver import solve_l1_synthesis
 from nsplab.subgaussian import make_spec, sample_measurement_matrix
 from nsplab.width import cone_projection_values, unit_ball_width, width_DS_gamma_mc
 from oracles import (
+    best_s_term_error,
     bp_objective_oracle,
     check_lemma_key,
     check_slepian_contraction,

@@ -76,6 +76,27 @@ def test_bounds_csv(capsys):
     assert rows["thm_S"][1] == ""  # no width given
 
 
+BOUNDS_ARGS = {
+    "--eta": "1", "--gamma": "0.5", "--rho": "1", "--s": "2", "--n": "100",
+    "--alpha": "0.7978845608028654", "--sigma": "1", "--C": "1",
+}
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--eta", "1e-200"), ("--gamma", "1e-200"), ("--alpha", "1e-60"), ("--eta", "1e200"),
+     ("--kappa", "1e200"), ("--sigma", "1e100"), ("--eta", "inf"), ("--width", "-1")],
+)
+def test_bounds_input_out_of_range_exits_1(capsys, flag, value):
+    # the formulas divide by eta^2, gamma^2 and alpha^6 and raise kappa to the
+    # third power, so the finite inputs here leave the float range
+    argv = [arg for item in {**BOUNDS_ARGS, flag: value}.items() for arg in item]
+    code, out, err = run_cli(capsys, "bounds", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_missing_required_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as e:
         main(["bounds", "--eta", "1"])

@@ -10,10 +10,11 @@ DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
 
 
 def run_demo(name):
+    """Run a demo with warnings as errors, as pytest runs the tests."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "demos" / name)],
+        [sys.executable, "-W", "error", str(ROOT / "demos" / name)],
         cwd=ROOT,
         env=env,
         capture_output=True,

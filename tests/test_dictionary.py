@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nsplab.dictionary import full_spark_check, make_dictionary
-from nsplab.errors import BudgetExceededError, DomainError
+from nsplab.dictionary import make_dictionary
+from nsplab.errors import DomainError
 from nsplab.rng import RngStream
 
 
@@ -29,19 +29,6 @@ def test_dimension_violations():
         make_dictionary("identity", 3, 4)
     with pytest.raises(DomainError):
         make_dictionary("gaussian_unit_norm", 5, 3, RngStream(0))
-
-
-def test_full_spark_examples():
-    assert full_spark_check(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
-    # columns 1 and 3 parallel
-    assert not full_spark_check(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
-    assert full_spark_check(np.eye(2))
-
-
-def test_full_spark_budget_refusal():
-    D = make_dictionary("gaussian_unit_norm", 3, 6, RngStream(2))
-    with pytest.raises(BudgetExceededError):
-        full_spark_check(D.matrix, budget=10)
 
 
 def test_caches_match_recomputation():
@@ -71,23 +58,3 @@ def test_op_norm_dominates_column_norms():
         sub = rng.substream(trial)
         D = make_dictionary("user_matrix", 4, 6, matrix=sub.normal((4, 6)) * 2.0)
         assert D.op_norm >= np.sqrt(D.rho) - 1e-9
-
-
-def test_full_spark_invariant_under_well_conditioned_left_multiply():
-    rng = RngStream(6)
-    for trial in range(15):
-        sub = rng.substream(trial)
-        D = make_dictionary("gaussian_unit_norm", 3, 6, sub)
-        # invertible M with condition number below 1e3
-        u, _, vt = np.linalg.svd(sub.normal((3, 3)))
-        M = u @ np.diag([1.0, 2.5, 8.0]) @ vt
-        assert full_spark_check(D.matrix) == full_spark_check(M @ D.matrix)
-
-
-def test_gaussian_dictionaries_are_full_spark():
-    rng = RngStream(8)
-    hits = sum(
-        full_spark_check(make_dictionary("gaussian_unit_norm", 3, 6, rng.substream(t)).matrix)
-        for t in range(100)
-    )
-    assert hits == 100

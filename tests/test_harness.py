@@ -7,13 +7,13 @@ import pytest
 from nsplab.errors import DomainError, NspRequiredError
 from nsplab.harness import (
     ExperimentConfig,
-    csv_body,
     run_bounds_table,
     run_experiment,
     run_phase_transition,
     run_preserve_nsp,
     run_width_compare,
 )
+from oracles import csv_body
 
 
 def parse_csv(text):

@@ -7,7 +7,7 @@ import pytest
 
 from nsplab.dictionary import make_dictionary
 from nsplab import nsp as nsp_module
-from nsplab.errors import BudgetExceededError, NotFullSparkError
+from nsplab.errors import BudgetExceededError
 from nsplab.nsp import (
     SgammaParams,
     _binomials,
@@ -15,7 +15,6 @@ from nsplab.nsp import (
     _maximal_minors,
     certificate_to_json,
     certify_nsp,
-    d_nsp_check,
     estimate_eta,
     in_S_gamma,
 )
@@ -539,28 +538,6 @@ class TestEstimateEta:
         est = estimate_eta(D.matrix, p, 40, rng.substream("eta"))
         grid = eta_grid_oracle(D.matrix, p, resolution=700)
         assert est.eta_upper <= grid + 1e-6  # grid points are feasible probes
-
-
-class TestDnspRoute:
-    def test_identity_reduces_to_basis_case(self):
-        D = make_dictionary("identity", 3, 3)
-        phi = RngStream(32).normal((2, 3))
-        direct = certify_nsp(phi @ D.matrix, 1)
-        routed = d_nsp_check(D.matrix, phi, 1)
-        assert routed.gamma_star == direct.gamma_star
-        assert routed.verdict == direct.verdict
-        assert routed.witness_support == direct.witness_support
-
-    def test_zero_phi_fails(self):
-        D = make_dictionary("user_matrix", 2, 3, matrix=np.array([[1.0, 0, 1], [0, 1, 1]]))
-        res = d_nsp_check(D.matrix, np.zeros((2, 2)), 1)
-        assert res.verdict == "fails"
-
-    def test_non_full_spark_refused(self):
-        M = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])  # cols 1, 3 parallel
-        D = make_dictionary("user_matrix", 2, 3, matrix=M)
-        with pytest.raises(NotFullSparkError):
-            d_nsp_check(D.matrix, np.eye(2), 1)
 
 
 class TestOracleHeadSum:

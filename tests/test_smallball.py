@@ -107,6 +107,13 @@ class TestFormulas:
         assert rows2[1]["prob_at_m"] == pytest.approx(1.0)  # at ceil(m_min) of ~3e8
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", ["eta", "gamma", "rho", "alpha", "sigma", "C", "kappa"])
+def test_bound_inputs_refuse_non_finite(field, value):
+    with pytest.raises(DomainError):
+        std_inputs(**{field: value})
+
+
 class TestMendelson:
     def test_width_zero_small_t(self):
         b = std_inputs()

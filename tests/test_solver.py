@@ -9,15 +9,9 @@ from nsplab.dictionary import make_dictionary
 from nsplab.errors import DomainError
 from nsplab.nsp import certify_nsp
 from nsplab.rng import RngStream
-from nsplab.solver import (
-    RecoveryBoundInputs,
-    RecoveryResult,
-    best_s_term_error,
-    evaluate_recovery,
-    solve_l1_synthesis,
-)
+from nsplab.solver import solve_l1_synthesis
 from nsplab.subgaussian import make_spec, sample_measurement_matrix
-from oracles import bp_objective_oracle
+from oracles import best_s_term_error, bp_objective_oracle
 
 
 def certified_optimum(B, y, eps, x_approx):
@@ -455,77 +449,3 @@ class TestRecoveryNspLink:
         x0[T] = cert.witness[T]
         res = solve_l1_synthesis(B, B @ x0)
         assert np.max(np.abs(res.x_hat - x0)) > 1e-6
-
-
-class TestEvaluate:
-    def test_exact_recovery_report(self):
-        D = make_dictionary("identity", 4, 4)
-        x0 = np.array([0.0, 2.0, 0.0, 0.0])
-        res = solve_l1_synthesis(np.eye(4), x0)
-        rep = evaluate_recovery(
-            x0, res, D.matrix, RecoveryBoundInputs(gamma=0.5, eta=1.0, eps=0.0, C=1.0, sigma=1.0, s=1)
-        )
-        assert rep.err_x <= 1e-9
-        assert rep.coefficient_bound == 0.0
-        assert rep.ok_x and rep.ok_z
-
-    def test_bound_arithmetic(self):
-        D = make_dictionary("identity", 3, 3)
-        res = solve_l1_synthesis(np.eye(3), np.array([1.0, 0, 0]))
-        rep = evaluate_recovery(
-            np.array([1.0, 0, 0]),
-            res,
-            D.matrix,
-            RecoveryBoundInputs(gamma=0.5, eta=1.0, eps=0.1, C=1.0, sigma=1.0, s=1),
-        )
-        assert rep.coefficient_bound == pytest.approx(0.2, rel=1e-12)
-        assert rep.signal_bound == pytest.approx(D.op_norm * rep.coefficient_bound, rel=1e-9)
-
-    def test_bound_examples(self):
-        D = make_dictionary("identity", 3, 3)
-        res = solve_l1_synthesis(np.eye(3), np.array([1.0, 0, 0]))
-        # exact s-sparse signal and no noise: the bound is zero
-        rep = evaluate_recovery(
-            np.array([1.0, 0, 0]),
-            res,
-            D.matrix,
-            RecoveryBoundInputs(gamma=0.5, eta=1.0, eps=0.0, C=1.0, sigma=1.0, s=1),
-        )
-        assert rep.coefficient_bound == 0.0
-        # sigma_s = 1 at gamma = 0.5, eps = 0: (2 gamma + 2) / (1 - gamma) = 6
-        x0 = np.array([2.0, 1.0, 0.0])
-        rep = evaluate_recovery(
-            x0,
-            solve_l1_synthesis(np.eye(3), x0),
-            D.matrix,
-            RecoveryBoundInputs(gamma=0.5, eta=1.0, eps=0.0, C=1.0, sigma=1.0, s=1),
-        )
-        assert rep.sigma_s == 1.0
-        assert rep.coefficient_bound == pytest.approx(6.0, rel=1e-12)
-        # noise term 2 eps / (C sigma eta) with sigma_s = 0
-        rep = evaluate_recovery(
-            np.array([1.0, 0, 0]),
-            res,
-            D.matrix,
-            RecoveryBoundInputs(gamma=0.5, eta=2.0, eps=1.0, C=1.0, sigma=1.0, s=1),
-        )
-        assert rep.coefficient_bound == pytest.approx(1.0, rel=1e-12)
-
-    def test_bound_inputs_domain(self):
-        with pytest.raises(DomainError):
-            RecoveryBoundInputs(gamma=1.0, eta=1.0, eps=0.0, C=1.0, sigma=1.0, s=1)
-        with pytest.raises(DomainError):
-            RecoveryBoundInputs(gamma=0.5, eta=0.0, eps=0.0, C=1.0, sigma=1.0, s=1)
-
-    def test_signal_bound_is_opnorm_times_coefficient_bound(self):
-        rng = RngStream(89)
-        M = rng.normal((3, 5))
-        D = make_dictionary("user_matrix", 3, 5, matrix=M)
-        x0 = np.zeros(5)
-        x0[0] = 1.0
-        B = rng.normal((4, 3)) @ M
-        res = solve_l1_synthesis(B, B @ x0)
-        rep = evaluate_recovery(
-            x0, res, D.matrix, RecoveryBoundInputs(gamma=0.7, eta=0.5, eps=0.3, C=1.0, sigma=2.0, s=2)
-        )
-        assert rep.signal_bound == pytest.approx(D.op_norm * rep.coefficient_bound, rel=1e-9)
