@@ -15,6 +15,7 @@ from nsplab import (
     certify_nsp,
     estimate_eta,
     make_dictionary,
+    operator_norm,
     SgammaParams,
 )
 
@@ -36,7 +37,7 @@ D = make_dictionary("gaussian_unit_norm", d=10, n=14, rng=rng.substream("dict"))
 cert = certify_nsp(D.matrix, s=1)
 print(f"10 x 14 unit-norm dictionary: gamma_star = {cert.gamma_star:.4f} ({cert.verdict})")
 print(f"route {cert.method!r}, {cert.evaluated} circuit candidates evaluated")
-print(f"rho = {D.rho:.3f}, operator norm = {D.op_norm:.3f}")
+print(f"rho = {D.rho:.3f}, operator norm = {operator_norm(D.matrix):.3f}")
 
 print("\n== the equivalent lower-bound form ==")
 # holding the NSP is the same as ||D x||_2 staying away from zero on the

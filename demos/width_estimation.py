@@ -35,7 +35,7 @@ for s in (1, 2, 3):
     for gamma in (0.5, 1.0):
         p = SgammaParams(gamma, s)
         mc = width_DS_gamma_mc(D.matrix, p, SAMPLES, rng.substream("mc", s, gamma))
-        theory = theory_width_bound(p, D.n, D.rho)
+        theory = theory_width_bound(p, 32, D.rho)
         print(f"{s:>3} {gamma:>6.2f} {mc.mean:>8.3f} {theory:>8.3f} {crude:>8.3f}")
 
 print("\nthe Monte Carlo mean sits far below the closed-form bounds; the crude")

@@ -39,9 +39,9 @@ def _cmd_bounds(args) -> int:
         kappa=args.kappa,
     )
     rows = bounds_table(b, width=args.width, m=args.m)
-    print("formula_id,m_min,rate,prob_at_m")
+    print(",".join(rows[0]))
     for r in rows:
-        print(",".join(_fmt(r[k]) for k in ("formula_id", "m_min", "rate", "prob_at_m")))
+        print(",".join(_fmt(v) for v in r.values()))
     return 0
 
 

@@ -1,8 +1,8 @@
-"""Dictionary construction and analysis.
+"""Dictionary construction.
 
 A dictionary is a d x n matrix of column atoms.  make_dictionary returns it
-with its column-norm bound rho = max_i ||d_i||_2^2 and operator norm cached;
-every other function takes the matrix itself.
+read-only, with its column-norm bound rho = max_i ||d_i||_2^2; every other
+function takes the matrix itself.
 """
 
 from __future__ import annotations
@@ -12,44 +12,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import as_matrix, column_norm_bound, operator_norm
+# operator_norm is not called here; the name stays because bench/tracer.py
+# looks it up in this module when it installs.
+from .numerics import column_norm_bound, operator_norm  # noqa: F401
 from .rng import RngStream
 
-KINDS = ("gaussian_unit_norm", "identity", "parseval_random", "user_matrix")
+KINDS = ("gaussian_unit_norm", "identity", "parseval_random")
 
 
 @dataclass(frozen=True)
 class Dictionary:
     matrix: np.ndarray
     rho: float
-    op_norm: float
-
-    @property
-    def d(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[1]
 
 
-def make_dictionary(kind, d, n, rng: RngStream | None = None, matrix=None) -> Dictionary:
+def make_dictionary(kind, d, n, rng: RngStream | None = None) -> Dictionary:
     """Build a dictionary of the requested kind.
 
     gaussian_unit_norm: iid standard normal entries with columns scaled to
     unit norm (rho = 1).  identity: d = n identity.  parseval_random: random
-    matrix with orthonormalized rows, so D D^T = I_d.  user_matrix: a copy of
-    the provided matrix.
+    matrix with orthonormalized rows, so D D^T = I_d.
     """
     if kind not in KINDS:
         raise DomainError(f"unknown dictionary kind {kind!r}")
     if d < 1:
         raise DomainError("d must be at least 1")
-    if kind == "user_matrix":
-        M = as_matrix(matrix).copy()  # freeze a copy: the caller's array stays writable
-        if M.shape != (d, n):
-            raise DomainError(f"user matrix has shape {M.shape}, expected {(d, n)}")
-    elif kind == "identity":
+    if kind == "identity":
         if n != d:
             raise DomainError("identity dictionary requires n = d")
         M = np.eye(d)
@@ -67,4 +55,4 @@ def make_dictionary(kind, d, n, rng: RngStream | None = None, matrix=None) -> Di
             M = q.T
     M = np.ascontiguousarray(M)
     M.flags.writeable = False
-    return Dictionary(matrix=M, rho=column_norm_bound(M), op_norm=operator_norm(M))
+    return Dictionary(matrix=M, rho=column_norm_bound(M))

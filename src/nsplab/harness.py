@@ -7,9 +7,11 @@ Experiments:
   bounds_table     the five measurement-count formulas for derived inputs
 
 Every (experiment, m, trial) tuple gets its own RngStream keyed by a stable
-hash, so trial results do not depend on execution order and identical
-configs reproduce byte-identical CSV (modulo the timestamp header line).
-Campaigns run serially, task by task in (m, trial) order.
+hash, so trial results do not depend on execution order or on the rest of
+the grid, and identical configs reproduce byte-identical CSV (modulo the
+timestamp header line).  preserve_nsp and phase_transition are plain loops
+over the m grid and the trials: each trial draws Phi first, then its own
+draws, and each m's summary row is counted as its trial rows are written.
 
 ExperimentConfig checks every field when it is constructed, so a config built
 in Python and one read by from_json pass the same checks.
@@ -36,14 +38,10 @@ from .smallball import BoundInputs, bounds_table
 from .solver import solve_l1_synthesis
 from .subgaussian import KINDS as SPEC_KINDS
 from .subgaussian import condition_number, make_spec, sample_measurement_matrix
-from .width import crude_width_bound, width_DS_gamma_mc
+from .width import crude_width_bound, theory_width_bound, width_DS_gamma_mc
 
 EXPERIMENTS = ("preserve_nsp", "phase_transition", "width_compare", "bounds_table")
-_CONFIG_KINDS = {
-    # a config cannot carry a matrix, so user_matrix is not one of its dictionaries
-    "dict_kind": tuple(k for k in DICT_KINDS if k != "user_matrix"),
-    "spec_kind": SPEC_KINDS,
-}
+_CONFIG_KINDS = {"dict_kind": DICT_KINDS, "spec_kind": SPEC_KINDS}
 
 
 @dataclass(frozen=True)
@@ -148,8 +146,8 @@ def _emit_csv(cfg: ExperimentConfig, header, rows) -> str:
     return text
 
 
-def _build_dictionary(cfg: ExperimentConfig, label: str):
-    rng = RngStream(cfg.seed, stable_stream_id(cfg.experiment, label))
+def _build_dictionary(cfg: ExperimentConfig):
+    rng = RngStream(cfg.seed, stable_stream_id(cfg.experiment, "dictionary"))
     return make_dictionary(cfg.dict_kind, cfg.d, cfg.n, rng)
 
 
@@ -166,7 +164,7 @@ def run_preserve_nsp(cfg: ExperimentConfig) -> str:
     """
     if not cfg.m_grid:
         raise DomainError("preserve_nsp needs a nonempty m_grid")
-    D = _build_dictionary(cfg, "dictionary")
+    D = _build_dictionary(cfg)
     base = certify_nsp(D.matrix, cfg.s)
     if not base.holds:
         raise NspRequiredError(
@@ -174,21 +172,17 @@ def run_preserve_nsp(cfg: ExperimentConfig) -> str:
             "no composition can satisfy it"
         )
     spec = _build_spec(cfg, cfg.d)
-
-    def one(task):
-        m, trial = task
-        rng = RngStream(cfg.seed, stable_stream_id("preserve_nsp", m, trial))
-        phi = sample_measurement_matrix(spec, m, cfg.d, rng)
-        cert = certify_nsp(phi @ D.matrix, cfg.s)
-        return (m, trial, cert.verdict, cert.gamma_star)
-
-    tasks = [(m, t) for m in cfg.m_grid for t in range(cfg.trials)]
-    rows = [one(t) for t in tasks]
-    out = [list(r) for r in rows]
+    rows, summaries = [], []
     for m in cfg.m_grid:
-        holds = sum(1 for r in rows if r[0] == m and r[2] == "holds")
-        out.append([m, "summary", "frequency", holds / cfg.trials])
-    return _emit_csv(cfg, ["m", "trial", "verdict", "gamma_star"], out)
+        holds = 0
+        for trial in range(cfg.trials):
+            rng = RngStream(cfg.seed, stable_stream_id("preserve_nsp", m, trial))
+            phi = sample_measurement_matrix(spec, m, cfg.d, rng)
+            cert = certify_nsp(phi @ D.matrix, cfg.s)
+            rows.append([m, trial, cert.verdict, cert.gamma_star])
+            holds += cert.verdict == "holds"
+        summaries.append([m, "summary", "frequency", holds / cfg.trials])
+    return _emit_csv(cfg, ["m", "trial", "verdict", "gamma_star"], rows + summaries)
 
 
 def run_phase_transition(cfg: ExperimentConfig) -> str:
@@ -200,36 +194,33 @@ def run_phase_transition(cfg: ExperimentConfig) -> str:
     """
     if not cfg.m_grid:
         raise DomainError("phase_transition needs a nonempty m_grid")
-    D = _build_dictionary(cfg, "dictionary")
+    D = _build_dictionary(cfg)
     spec = _build_spec(cfg, cfg.d)
     threshold = max(1e-6, cfg.success_factor * cfg.eps)
-
-    def one(task):
-        m, trial = task
-        rng = RngStream(cfg.seed, stable_stream_id("phase_transition", m, trial))
-        phi = sample_measurement_matrix(spec, m, cfg.d, rng)
-        B = phi @ D.matrix
-        support = np.sort(rng.permutation(cfg.n)[: cfg.s])
-        x0 = np.zeros(cfg.n)
-        x0[support] = rng.normal(cfg.s)
-        y = B @ x0
-        if cfg.eps > 0.0:
-            y = y + cfg.eps * rng.unit_vector(m)
-        res = solve_l1_synthesis(B, y, cfg.eps)
-        if res.x_hat is None:
-            return (m, trial, 0, math.inf, math.inf, 0.0, res.status)
-        err_x = float(np.linalg.norm(res.x_hat - x0))
-        err_z = float(np.linalg.norm(D.matrix @ (res.x_hat - x0)))
-        success = int(res.status == "converged" and err_x <= threshold)
-        return (m, trial, success, err_x, err_z, 0.0, res.status)
-
-    tasks = [(m, t) for m in cfg.m_grid for t in range(cfg.trials)]
-    rows = [one(t) for t in tasks]
-    out = [list(r[:6]) for r in rows]
+    rows, summaries = [], []
     for m in cfg.m_grid:
-        rate = sum(r[2] for r in rows if r[0] == m) / cfg.trials
-        out.append([m, "summary", rate, "", "", ""])
-    return _emit_csv(cfg, ["m", "trial", "success", "err_x", "err_z", "sigma_s"], out)
+        successes = 0
+        for trial in range(cfg.trials):
+            rng = RngStream(cfg.seed, stable_stream_id("phase_transition", m, trial))
+            phi = sample_measurement_matrix(spec, m, cfg.d, rng)
+            B = phi @ D.matrix
+            support = np.sort(rng.permutation(cfg.n)[: cfg.s])
+            x0 = np.zeros(cfg.n)
+            x0[support] = rng.normal(cfg.s)
+            y = B @ x0
+            if cfg.eps > 0.0:
+                y = y + cfg.eps * rng.unit_vector(m)
+            res = solve_l1_synthesis(B, y, cfg.eps)
+            if res.x_hat is None:
+                success, err_x, err_z = 0, math.inf, math.inf
+            else:
+                err_x = float(np.linalg.norm(res.x_hat - x0))
+                err_z = float(np.linalg.norm(D.matrix @ (res.x_hat - x0)))
+                success = int(res.status == "converged" and err_x <= threshold)
+            rows.append([m, trial, success, err_x, err_z, 0.0])
+            successes += success
+        summaries.append([m, "summary", successes / cfg.trials, "", "", ""])
+    return _emit_csv(cfg, ["m", "trial", "success", "err_x", "err_z", "sigma_s"], rows + summaries)
 
 
 def run_width_compare(cfg: ExperimentConfig) -> str:
@@ -249,8 +240,9 @@ def run_width_compare(cfg: ExperimentConfig) -> str:
         D = make_dictionary(cfg.dict_kind, cfg.d, n, rng_d)
         crude = crude_width_bound(D.matrix)
         for s, gamma in itertools.product(s_grid, gamma_grid):
+            p = SgammaParams(gamma, s)
             rng = RngStream(cfg.seed, stable_stream_id("width_compare", n, s, gamma))
-            mc = width_DS_gamma_mc(D.matrix, SgammaParams(gamma, s), samples, rng)
+            mc = width_DS_gamma_mc(D.matrix, p, samples, rng)
             rows.append(
                 [
                     n,
@@ -261,7 +253,7 @@ def run_width_compare(cfg: ExperimentConfig) -> str:
                     mc.std_error,
                     mc.mean,
                     mc.std_error,
-                    mc.theory_bound,
+                    theory_width_bound(p, n, D.rho),
                     crude,
                 ]
             )
@@ -287,7 +279,7 @@ def run_bounds_table(cfg: ExperimentConfig) -> str:
     eta from the multistart estimate over S_gamma; kappa is the covariance
     condition number.  prob_at_m uses the largest grid m when given.
     """
-    D = _build_dictionary(cfg, "dictionary")
+    D = _build_dictionary(cfg)
     spec = _build_spec(cfg, cfg.d)
     p = SgammaParams(cfg.gamma, cfg.s)
     eta = estimate_eta(
@@ -309,11 +301,8 @@ def run_bounds_table(cfg: ExperimentConfig) -> str:
         kappa=condition_number(spec),
     )
     at_m = max(cfg.m_grid) if cfg.m_grid else None
-    rows = [
-        [r["formula_id"], r["m_min"], r["rate"], r["prob_at_m"]]
-        for r in bounds_table(b, width=width.mean, m=at_m)
-    ]
-    return _emit_csv(cfg, ["formula_id", "m_min", "rate", "prob_at_m"], rows)
+    rows = bounds_table(b, width=width.mean, m=at_m)
+    return _emit_csv(cfg, list(rows[0]), [r.values() for r in rows])
 
 
 _RUNNERS = {

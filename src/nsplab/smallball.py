@@ -141,6 +141,7 @@ def success_rate(formula_id: str, b: BoundInputs) -> float:
     raise DomainError(f"unknown formula id {formula_id!r}")
 
 
+@_in_float_range
 def success_probability(formula_id: str, b: BoundInputs, m: int) -> float:
     if m < 1:
         raise DomainError("m must be at least 1")
@@ -235,7 +236,9 @@ def estimate_W(
 
 
 def bounds_table(b: BoundInputs, width: float | None = None, m: int | None = None) -> list:
-    """Rows {formula_id, m_min, rate, prob_at_m} for all five formulas.
+    """Rows {formula_id, m_min, rate, prob_at_m} for all five formulas.  The
+    keys, in this order, are the CSV columns of `nsplab bounds` and of the
+    bounds_table campaign.
 
     Formulas whose extra input (width, kappa) is missing get a None m_min
     (and cor_non a None rate); every other DomainError propagates.

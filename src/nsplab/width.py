@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError
 from .nsp import SgammaParams
-from .numerics import as_matrix, column_norm_bound, nonincreasing_rearrangement, operator_norm
+from .numerics import as_matrix, nonincreasing_rearrangement, operator_norm
 from .rng import RngStream
 
 _MC_BLOCK = 20_000
@@ -46,7 +46,6 @@ _BLAS_SERIAL_MACS = 2**18
 class WidthEstimate:
     mean: float
     std_error: float
-    theory_bound: float | None = None
 
 
 def unit_ball_width(n: int) -> float:
@@ -157,7 +156,7 @@ def _projection_values(G, M, p: SgammaParams, out: np.ndarray) -> None:
 
 def width_DS_gamma_mc(D, p: SgammaParams, samples: int, rng: RngStream) -> WidthEstimate:
     """Monte Carlo estimate of w(D S_gamma) for a d x n matrix D via exact
-    per-draw cone projection; theory_bound uses rho = max_i ||d_i||_2^2."""
+    per-draw cone projection."""
     if samples < 100:
         raise DomainError("need at least 100 samples")
     M = as_matrix(D)
@@ -166,9 +165,7 @@ def width_DS_gamma_mc(D, p: SgammaParams, samples: int, rng: RngStream) -> Width
         G = rng.normal((min(_MC_BLOCK, samples - i), M.shape[0]))
         _projection_values(G, M, p, v[i : i + G.shape[0]])
     se = float(v.std(ddof=1) / math.sqrt(v.size))
-    rho = column_norm_bound(M)
-    theory = theory_width_bound(p, M.shape[1], rho) if rho > 0.0 else 0.0
-    return WidthEstimate(float(v.mean()), se, theory)
+    return WidthEstimate(float(v.mean()), se)
 
 
 def theory_width_bound(p: SgammaParams, n: int, rho: float) -> float:

@@ -21,7 +21,7 @@ from nsplab.rng import RngStream
 from nsplab.smallball import FORMULA_IDS, BoundInputs, m_min, success_probability
 from nsplab.solver import solve_l1_synthesis
 from nsplab.subgaussian import make_spec, sample_measurement_matrix
-from nsplab.width import cone_projection_values, unit_ball_width, width_DS_gamma_mc
+from nsplab.width import cone_projection_values, theory_width_bound, unit_ball_width, width_DS_gamma_mc
 from oracles import (
     best_s_term_error,
     bp_objective_oracle,
@@ -149,10 +149,10 @@ def test_criterion_3_width_machinery():
             D = make_dictionary("gaussian_unit_norm", max(2, n // 2), n, RngStream(310 + n))
             for s in (1, 2, 3):
                 for gamma in (0.5, 0.9, 1.0):
-                    est = width_DS_gamma_mc(
-                        D.matrix, SgammaParams(gamma, s), 3000, RngStream(320).substream(n, s, gamma)
-                    )
-                    assert est.mean <= est.theory_bound + 3.0 * est.std_error, (n, s, gamma)
+                    p = SgammaParams(gamma, s)
+                    est = width_DS_gamma_mc(D.matrix, p, 3000, RngStream(320).substream(n, s, gamma))
+                    theory = theory_width_bound(p, n, D.rho)
+                    assert est.mean <= theory + 3.0 * est.std_error, (n, s, gamma)
 
 
 def test_criterion_4_lemma_checks():

@@ -85,11 +85,13 @@ BOUNDS_ARGS = {
 @pytest.mark.parametrize(
     "flag, value",
     [("--eta", "1e-200"), ("--gamma", "1e-200"), ("--alpha", "1e-60"), ("--eta", "1e200"),
-     ("--kappa", "1e200"), ("--sigma", "1e100"), ("--eta", "inf"), ("--width", "-1")],
+     ("--kappa", "1e200"), ("--sigma", "1e100"), ("--eta", "inf"), ("--width", "-1"),
+     pytest.param("--m", "1" + "0" * 310, id="--m-1e310")],
 )
 def test_bounds_input_out_of_range_exits_1(capsys, flag, value):
     # the formulas divide by eta^2, gamma^2 and alpha^6 and raise kappa to the
-    # third power, so the finite inputs here leave the float range
+    # third power, and m * rate has no float for m = 10^310, so the finite
+    # inputs here leave the float range
     argv = [arg for item in {**BOUNDS_ARGS, flag: value}.items() for arg in item]
     code, out, err = run_cli(capsys, "bounds", *argv)
     assert code == 1

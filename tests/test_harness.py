@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from nsplab.dictionary import make_dictionary
 from nsplab.errors import DomainError, NspRequiredError
 from nsplab.harness import (
     ExperimentConfig,
@@ -13,6 +14,9 @@ from nsplab.harness import (
     run_preserve_nsp,
     run_width_compare,
 )
+from nsplab.nsp import certify_nsp
+from nsplab.rng import RngStream, stable_stream_id
+from nsplab.subgaussian import make_spec, sample_measurement_matrix
 from oracles import csv_body
 
 
@@ -35,6 +39,33 @@ def preserve_cfg(**over):
     )
     base.update(over)
     return ExperimentConfig(**base)
+
+
+@pytest.mark.parametrize(
+    "runner, over",
+    [(run_preserve_nsp, {}), (run_phase_transition, {"experiment": "phase_transition", "eps": 0.01})],
+    ids=["preserve", "phase"],
+)
+def test_trial_rows_do_not_depend_on_the_rest_of_the_grid(runner, over):
+    # every (experiment, m, trial) draws from its own stream, so a trial's row
+    # is the same whichever other m values and trials the campaign runs
+    small = runner(preserve_cfg(m_grid=(6,), trials=2, **over)).splitlines()
+    large = runner(preserve_cfg(m_grid=(3, 6), trials=4, **over)).splitlines()
+    want = [ln for ln in small[2:] if ln.split(",")[1] != "summary"]
+    assert len(want) == 2
+    assert want == [ln for ln in large[2:] if ln.split(",")[:2] in (["6", "0"], ["6", "1"])]
+
+
+def test_preserve_trial_draws_phi_first_from_its_stream():
+    cfg = preserve_cfg()
+    D = make_dictionary(
+        cfg.dict_kind, cfg.d, cfg.n, RngStream(cfg.seed, stable_stream_id("preserve_nsp", "dictionary"))
+    )
+    rng = RngStream(cfg.seed, stable_stream_id("preserve_nsp", 6, 1))
+    phi = sample_measurement_matrix(make_spec(cfg.spec_kind, cfg.d), 6, cfg.d, rng)
+    cert = certify_nsp(phi @ D.matrix, cfg.s)
+    _, rows = parse_csv(run_preserve_nsp(cfg))
+    assert [r for r in rows if r[:2] == ["6", "1"]] == [["6", "1", cert.verdict, f"{cert.gamma_star:.17g}"]]
 
 
 class TestConfig:
@@ -74,7 +105,7 @@ class TestConfig:
         ids=["dict_kind-unknown", "dict_kind-user_matrix", "spec_kind-unknown"],
     )
     def test_rejects_kind_a_config_cannot_build(self, over):
-        # user_matrix needs a matrix, which no config key can supply
+        # user_matrix is no dictionary kind: a config cannot carry a matrix
         with pytest.raises(DomainError, match=f"config key '{next(iter(over))}'"):
             preserve_cfg(**over)
 

@@ -495,15 +495,14 @@ class TestEstimateEta:
         assert est.eta_upper == pytest.approx(1.0, abs=1e-6)
 
     def test_diagonal_matches_grid_oracle(self):
-        D = make_dictionary("user_matrix", 2, 2, matrix=np.diag([2.0, 3.0]))
+        M = np.diag([2.0, 3.0])
         p = SgammaParams(1.0, 1)
-        est = estimate_eta(D.matrix, p, 10, RngStream(27))
+        est = estimate_eta(M, p, 10, RngStream(27))
         assert est.eta_upper == pytest.approx(2.0, abs=1e-4)
-        assert est.eta_upper == pytest.approx(eta_grid_oracle(D.matrix, p), abs=1e-3)
+        assert est.eta_upper == pytest.approx(eta_grid_oracle(M, p), abs=1e-3)
 
     def test_kernel_vector_inside_set(self):
-        D = make_dictionary("user_matrix", 1, 2, matrix=np.array([[1.0, 1.0]]))
-        est = estimate_eta(D.matrix, SgammaParams(1.0, 1), 10, RngStream(28))
+        est = estimate_eta(np.array([[1.0, 1.0]]), SgammaParams(1.0, 1), 10, RngStream(28))
         assert est.eta_upper <= 1e-6
 
     def test_upper_bound_semantics(self):
@@ -511,9 +510,8 @@ class TestEstimateEta:
         # the estimate must sit at or below ||D x||_2 for each supplied x
         rng = RngStream(29)
         M = rng.normal((3, 5))
-        D = make_dictionary("user_matrix", 3, 5, matrix=M)
         p = SgammaParams(0.8, 1)
-        est = estimate_eta(D.matrix, p, 30, rng.substream("eta"))
+        est = estimate_eta(M, p, 30, rng.substream("eta"))
         for k in range(200):
             x = np.zeros(5)
             j = int(rng.substream("probe", k).integers(0, 5))
@@ -524,19 +522,17 @@ class TestEstimateEta:
     def test_witness_is_member_with_reported_value(self):
         rng = RngStream(30)
         M = rng.normal((4, 6))
-        D = make_dictionary("user_matrix", 4, 6, matrix=M)
         p = SgammaParams(0.6, 2)
-        est = estimate_eta(D.matrix, p, 20, rng.substream("eta"))
+        est = estimate_eta(M, p, 20, rng.substream("eta"))
         assert in_S_gamma(est.witness, p, tol=1e-8)
         assert np.linalg.norm(M @ est.witness) == pytest.approx(est.eta_upper, abs=1e-9)
 
     def test_three_dim_grid_oracle_agreement(self):
         rng = RngStream(31)
         M = rng.normal((3, 3)) + 2.0 * np.eye(3)
-        D = make_dictionary("user_matrix", 3, 3, matrix=M)
         p = SgammaParams(0.9, 1)
-        est = estimate_eta(D.matrix, p, 40, rng.substream("eta"))
-        grid = eta_grid_oracle(D.matrix, p, resolution=700)
+        est = estimate_eta(M, p, 40, rng.substream("eta"))
+        grid = eta_grid_oracle(M, p, resolution=700)
         assert est.eta_upper <= grid + 1e-6  # grid points are feasible probes
 
 

@@ -194,13 +194,13 @@ class TestEstimateQ:
 class TestEstimateW:
     def test_zero_dictionary(self):
         spec = make_spec("std_gaussian", 3)
-        D = make_dictionary("user_matrix", 3, 6, matrix=np.zeros((3, 6)))
-        est = estimate_W(spec, D.matrix, SgammaParams(0.5, 1), 4, 500, RngStream(73))
+        Z = np.zeros((3, 6))
+        est = estimate_W(spec, Z, SgammaParams(0.5, 1), 4, 500, RngStream(73))
         assert est.mean == 0.0
         with pytest.raises(DomainError, match="s = 7 exceeds the row length n = 6"):
-            estimate_W(spec, D.matrix, SgammaParams(0.5, 7), 4, 500, RngStream(73))
+            estimate_W(spec, Z, SgammaParams(0.5, 7), 4, 500, RngStream(73))
         with pytest.raises(DomainError, match="samples must be at least 1"):
-            estimate_W(spec, D.matrix, SgammaParams(0.5, 1), 4, 0, RngStream(73))
+            estimate_W(spec, Z, SgammaParams(0.5, 1), 4, 0, RngStream(73))
 
     def test_blocks_match_one_product_on_the_same_draws(self, monkeypatch):
         # m = 4: draw blocks of 25000 samples, each cut into product blocks of

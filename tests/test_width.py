@@ -6,7 +6,7 @@ import pytest
 from nsplab.dictionary import make_dictionary
 from nsplab.errors import DomainError
 from nsplab.nsp import SgammaParams
-from nsplab.numerics import nonincreasing_rearrangement
+from nsplab.numerics import nonincreasing_rearrangement, operator_norm
 from nsplab.rng import RngStream
 from nsplab.width import (
     _MC_BLOCK,
@@ -180,17 +180,14 @@ class TestWidthEstimators:
             assert abs(est.mean - expect) <= 3.0 * est.std_error
 
     def test_zero_dictionary(self):
-        D = make_dictionary("user_matrix", 3, 6, matrix=np.zeros((3, 6)))
-        est = width_DS_gamma_mc(D.matrix, SgammaParams(0.5, 2), 200, RngStream(46))
+        est = width_DS_gamma_mc(np.zeros((3, 6)), SgammaParams(0.5, 2), 200, RngStream(46))
         assert est.mean == 0.0
-        assert est.theory_bound == 0.0
 
     def test_identity_below_theory_bound(self):
         D = make_dictionary("identity", 10, 10)
         c = SgammaParams(1.0, 1)
         est = width_DS_gamma_mc(D.matrix, c, 20_000, RngStream(47))
-        assert est.theory_bound == pytest.approx(theory_width_bound(c, 10, 1.0), rel=1e-12)
-        assert est.mean <= est.theory_bound + 3.0 * est.std_error
+        assert est.mean <= theory_width_bound(c, 10, D.rho) + 3.0 * est.std_error
 
     def test_requires_minimum_samples(self):
         D = make_dictionary("identity", 2, 2)
@@ -248,7 +245,7 @@ class TestWidthEstimators:
         D = make_dictionary("identity", 2, 2)
         est = width_DS_gamma_mc(D.matrix, SgammaParams(1.0, 1), 200, RngStream(54))
         assert 0.0 < est.mean and 0.0 < est.std_error
-        assert est.theory_bound == pytest.approx(theory_width_bound(SgammaParams(1.0, 1), 2, 1.0))
+        assert est.mean <= theory_width_bound(SgammaParams(1.0, 1), 2, D.rho) + 3.0 * est.std_error
 
 
 class TestTheoryBounds:
@@ -266,13 +263,12 @@ class TestTheoryBounds:
     def test_crude_bound(self):
         D = make_dictionary("identity", 2, 2)
         assert crude_width_bound(D.matrix) == pytest.approx(2.0 * unit_ball_width(2), rel=1e-10)
-        D0 = make_dictionary("user_matrix", 2, 2, matrix=np.zeros((2, 2)))
-        assert crude_width_bound(D0.matrix) == 0.0
-        D3 = make_dictionary("user_matrix", 2, 2, matrix=3.0 * np.eye(2))
-        assert crude_width_bound(D3.matrix) == pytest.approx(6.0 * unit_ball_width(2), rel=1e-8)
+        assert crude_width_bound(np.zeros((2, 2))) == 0.0
+        assert crude_width_bound(3.0 * np.eye(2)) == pytest.approx(6.0 * unit_ball_width(2), rel=1e-8)
         # n is the dictionary's column count, not d
         G = make_dictionary("gaussian_unit_norm", 10, 14, RngStream(0))
-        assert crude_width_bound(G.matrix) == pytest.approx(2.0 * G.op_norm * unit_ball_width(14), rel=1e-12)
+        op_norm = operator_norm(G.matrix)
+        assert crude_width_bound(G.matrix) == pytest.approx(2.0 * op_norm * unit_ball_width(14), rel=1e-12)
 
 
 class TestSoftMoment:
@@ -299,8 +295,7 @@ class TestSoftMoment:
 
 class TestLemmaKey:
     def test_zero_dictionary(self):
-        D = make_dictionary("user_matrix", 3, 5, matrix=np.zeros((3, 5)))
-        empirical, bound, std_error = check_lemma_key(D.matrix, 1, 1000, RngStream(58))
+        empirical, bound, std_error = check_lemma_key(np.zeros((3, 5)), 1, 1000, RngStream(58))
         assert empirical == 0.0
         assert empirical <= bound + 3.0 * std_error
 
@@ -316,10 +311,8 @@ class TestLemmaKey:
     def test_column_scaling_homogeneity(self):
         rng = RngStream(60)
         M = rng.normal((4, 8))
-        D1 = make_dictionary("user_matrix", 4, 8, matrix=M)
-        D2 = make_dictionary("user_matrix", 4, 8, matrix=2.0 * M)
-        empirical1, bound1, _ = check_lemma_key(D1.matrix, 2, 50_000, RngStream(61))
-        empirical2, bound2, _ = check_lemma_key(D2.matrix, 2, 50_000, RngStream(61))
+        empirical1, bound1, _ = check_lemma_key(M, 2, 50_000, RngStream(61))
+        empirical2, bound2, _ = check_lemma_key(2.0 * M, 2, 50_000, RngStream(61))
         assert empirical2 == pytest.approx(2.0 * empirical1, rel=1e-9)
         assert bound2 == pytest.approx(2.0 * bound1, rel=1e-12)
 
