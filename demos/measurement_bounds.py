@@ -13,7 +13,6 @@ from nsplab import (
     BoundInputs,
     FORMULA_IDS,
     bounds_table,
-    mendelson_lower_bound,
     m_min,
     success_probability,
 )
@@ -42,11 +41,3 @@ for m in (1000, 10_000, 100_000):
     p = success_probability("thm_main_gauss", b, m)
     print(f"  m = {m:>7}: probability {p:.4f}")
 
-print("\nthe small-ball lower bound behind these formulas, at the matched")
-print("m and deviation parameters, lands exactly on the width level:")
-w = 3.0
-m = m_min("thm_S", b, width=w)
-t = math.sqrt(m) * b.alpha**2 / (64 * b.sigma**2)
-mb = mendelson_lower_bound(b, w, m, t)
-print(f"  bound value = {mb.value:.6f}  (C sigma w = {b.C * b.sigma * w:.6f})")
-print(f"  holds with probability >= {mb.probability:.6f}")

@@ -29,7 +29,6 @@ from .nsp import (
     SgammaParams,
     certify_nsp,
     estimate_eta,
-    in_S_gamma,
 )
 from .numerics import (
     kernel_basis,
@@ -42,12 +41,8 @@ from .rng import RngStream, stable_stream_id
 from .smallball import (
     FORMULA_IDS,
     BoundInputs,
-    MendelsonBound,
     bounds_table,
-    estimate_Q,
-    estimate_W,
     m_min,
-    mendelson_lower_bound,
     success_probability,
     success_rate,
 )

@@ -40,7 +40,6 @@ from .subgaussian import KINDS as SPEC_KINDS
 from .subgaussian import condition_number, make_spec, sample_measurement_matrix
 from .width import crude_width_bound, theory_width_bound, width_DS_gamma_mc
 
-EXPERIMENTS = ("preserve_nsp", "phase_transition", "width_compare", "bounds_table")
 _CONFIG_KINDS = {"dict_kind": DICT_KINDS, "spec_kind": SPEC_KINDS}
 
 
@@ -92,7 +91,7 @@ class ExperimentConfig:
             if not ok:
                 want += " or null" if null else ""
                 raise DomainError(f"config key {f.name!r} must be {want}, got {value!r}")
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _RUNNERS:
             raise DomainError(f"unknown experiment {self.experiment!r}")
         for key, kinds in _CONFIG_KINDS.items():
             if getattr(self, key) not in kinds:
@@ -101,8 +100,8 @@ class ExperimentConfig:
                 )
         if self.trials < 1:
             raise DomainError("trials must be at least 1")
-        if list(self.m_grid) != sorted(self.m_grid):
-            raise DomainError("m_grid must be ascending")
+        if any(a >= b for a, b in zip(self.m_grid, self.m_grid[1:])):
+            raise DomainError("m_grid must be strictly ascending")
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError, LpSolveError
-from .numerics import RANK_TOL, as_matrix, as_vector, kernel_basis
+from .numerics import RANK_TOL, as_matrix, kernel_basis
 from .rng import RngStream
 from .solver import solve_l1_synthesis
 
@@ -99,22 +99,6 @@ class EtaEstimate:
 
     eta_upper: float
     witness: np.ndarray
-
-
-def in_S_gamma(x, p: SgammaParams, tol: float = 1e-9) -> bool:
-    """Membership in S_gamma: unit norm and head mass >= gamma * tail mass.
-
-    The s largest magnitudes (ties to the lowest index) maximize the head
-    mass, so checking that support alone decides membership.
-    """
-    v = as_vector(x)
-    if abs(np.linalg.norm(v) - 1.0) > tol:
-        return False
-    a = np.abs(v)
-    order = np.argsort(-a, kind="stable")
-    head = float(a[order[: p.s]].sum())
-    tail = float(a.sum() - head)
-    return head >= p.gamma * tail - tol
 
 
 def _support_lp(N, U, sv, Vt, h, T):

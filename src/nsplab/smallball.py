@@ -1,7 +1,10 @@
-"""Small-ball lower bounds and measurement-count calculators.
+"""Measurement-count calculators: the paper's row-count formulas.
 
-The row-count formulas and success probabilities are implemented digit for
-digit as printed, in five variants:
+Each formula follows from a small-ball lower bound on inf ||Phi D x||_2 over
+S_gamma.  The module keeps only the formulas, plain floats over BoundInputs;
+the small-ball bound itself is a test oracle that checks the thm_S
+derivation.  The row counts and success probabilities are implemented digit
+for digit as printed, in five variants:
 
   thm_S          general subgaussian rows, width form (needs w(D S))
   thm_main       general subgaussian rows, sparsity form
@@ -24,20 +27,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
 
 from .errors import DomainError
-from .nsp import SgammaParams, in_S_gamma
-from .numerics import as_matrix
-from .rng import RngStream
-from .subgaussian import SubgaussianSpec, sample_measurement_matrix
-from .width import WidthEstimate, _projection_values
 
 FORMULA_IDS = ("thm_S", "thm_main", "cor_non", "cor_sgauss", "thm_main_gauss")
-
-_SAMPLE_BLOCK = 100_000
 
 
 class _MissingInput(DomainError):
@@ -148,93 +141,6 @@ def success_probability(formula_id: str, b: BoundInputs, m: int) -> float:
     return 1.0 - math.exp(-m * success_rate(formula_id, b))
 
 
-class MendelsonBound(NamedTuple):
-    value: float
-    probability: float
-
-
-def mendelson_lower_bound(b: BoundInputs, width: float, m: int, t: float) -> MendelsonBound:
-    """Small-ball lower bound on inf ||Phi D x||_2 over the set:
-
-        (alpha eta / 64)(alpha/sigma)^2 sqrt(m) - 2 C sigma width - (alpha eta / 4) t
-
-    holding with probability at least 1 - exp(-t^2/2).
-    """
-    if not (t > 0.0):
-        raise DomainError("t must be positive")
-    value = (
-        b.alpha * b.eta / 64.0 * (b.alpha / b.sigma) ** 2 * math.sqrt(m)
-        - 2.0 * b.C * b.sigma * width
-        - b.alpha * b.eta / 4.0 * t
-    )
-    return MendelsonBound(value, 1.0 - math.exp(-(t**2) / 2.0))
-
-
-def estimate_Q(
-    spec: SubgaussianSpec,
-    D,
-    probes,
-    p: SgammaParams,
-    xi: float,
-    samples: int,
-    rng: RngStream,
-) -> float:
-    """Empirical marginal small-ball probability for a dictionary matrix D.
-
-    For each probe x the frequency of |<D x, phi>| >= xi is estimated on a
-    shared batch of rows; the minimum over probes is returned.  Probes are a
-    finite stand-in for the infimum over S_gamma, so this is an UPPER bound
-    on the true Q.
-    """
-    if xi < 0.0:
-        raise DomainError("xi must be nonnegative")
-    if samples < 1:
-        raise DomainError("samples must be at least 1")
-    M = as_matrix(D)
-    X = np.column_stack([np.asarray(x, dtype=float) for x in probes])
-    for i in range(X.shape[1]):
-        if not in_S_gamma(X[:, i], p, tol=1e-8):
-            raise DomainError(f"probe {i} is not a member of S_gamma")
-    V = M @ X  # (d, num_probes)
-    counts = np.zeros(X.shape[1])
-    done = 0
-    while done < samples:
-        block = min(_SAMPLE_BLOCK, samples - done)
-        phi = sample_measurement_matrix(spec, block, spec.dim, rng)
-        counts += (np.abs(phi @ V) >= xi).sum(axis=0)
-        done += block
-    return float((counts / samples).min())
-
-
-def estimate_W(
-    spec: SubgaussianSpec,
-    D,
-    p: SgammaParams,
-    m: int,
-    samples: int,
-    rng: RngStream,
-) -> WidthEstimate:
-    """Empirical mean width for a d x n dictionary matrix D: per sample draw
-    m rows f_i = D^T phi_i and signs eps_i, form h = m^{-1/2} sum eps_i f_i,
-    and take the supremum over S_gamma by the cone projection of h D."""
-    if m < 1:
-        raise DomainError("m must be at least 1")
-    if samples < 1:
-        raise DomainError("samples must be at least 1")
-    M = as_matrix(D)
-    d = M.shape[0]
-    v = np.empty(samples)
-    block_cap = max(1, _SAMPLE_BLOCK // m)
-    for i in range(0, samples, block_cap):
-        block = min(block_cap, samples - i)
-        phi = sample_measurement_matrix(spec, block * m, d, rng).reshape(block, m, d)
-        eps = rng.signs((block, m))
-        h = np.einsum("bm,bmd->bd", eps, phi) / math.sqrt(m)
-        _projection_values(h, M, p, v[i : i + block])
-    se = float(v.std(ddof=1) / math.sqrt(v.size)) if v.size > 1 else 0.0
-    return WidthEstimate(float(v.mean()), se)
-
-
 def bounds_table(b: BoundInputs, width: float | None = None, m: int | None = None) -> list:
     """Rows {formula_id, m_min, rate, prob_at_m} for all five formulas.  The
     keys, in this order, are the CSV columns of `nsplab bounds` and of the
@@ -242,7 +148,8 @@ def bounds_table(b: BoundInputs, width: float | None = None, m: int | None = Non
 
     Formulas whose extra input (width, kappa) is missing get a None m_min
     (and cor_non a None rate); every other DomainError propagates.
-    prob_at_m defaults to the probability at ceil(m_min) when m is omitted.
+    prob_at_m defaults to the probability at ceil(m_min) when m is omitted,
+    and is None where that m_min is 0 (a zero width); an m below 1 raises.
     """
     rows = []
     for fid in FORMULA_IDS:
@@ -258,7 +165,7 @@ def bounds_table(b: BoundInputs, width: float | None = None, m: int | None = Non
         if at is None and mm is not None and mm > 0:
             at = int(math.ceil(mm))
         prob = None
-        if rate is not None and at is not None and at >= 1:
+        if rate is not None and at is not None:
             prob = success_probability(fid, b, at)
         rows.append({"formula_id": fid, "m_min": mm, "rate": rate, "prob_at_m": prob})
     return rows

@@ -141,7 +141,8 @@ dual_surrogate_values = cone_projection_values
 
 
 def _projection_values(G, M, p: SgammaParams, out: np.ndarray) -> None:
-    """Write cone_projection_values(G @ M, p) into out, one row block at a time.
+    """Write cone_projection_values(G @ M, p) into out, one row block at a
+    time: the inner loop of width_DS_gamma_mc.
 
     A block holds at most _BLAS_SERIAL_MACS multiply-adds (at least 256 rows),
     so BLAS runs each skinny product on one thread, and no temporary spans

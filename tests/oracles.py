@@ -6,6 +6,9 @@ vectors) or checks one of the paper's lemmas empirically.  The checks return
 plain tuples; each test writes out the inequality it asserts.  The text
 writers make the input files the CLI tests read; best_s_term_error,
 project_cone_batch and csv_body are helpers that only the tests call.
+in_S_gamma decides membership in the violating set for the estimate_eta
+tests, and mendelson_lower_bound is the small-ball bound from which the
+thm_S row count is derived.
 """
 
 import itertools
@@ -28,6 +31,7 @@ from nsplab.numerics import (
     operator_norm,
 )
 from nsplab.rng import RngStream
+from nsplab.smallball import BoundInputs
 from nsplab.subgaussian import SubgaussianSpec, sample_measurement_matrix
 
 mpmath.mp.dps = 50
@@ -328,6 +332,22 @@ def eta_grid_oracle(D, p: SgammaParams, resolution: int = 2000) -> float:
     return float(vals.min())
 
 
+def in_S_gamma(x, p: SgammaParams, tol: float = 1e-9) -> bool:
+    """Membership in S_gamma: unit norm and head mass >= gamma * tail mass.
+
+    The s largest magnitudes (ties to the lowest index) maximize the head
+    mass, so checking that support alone decides membership.
+    """
+    v = as_vector(x)
+    if abs(np.linalg.norm(v) - 1.0) > tol:
+        return False
+    a = np.abs(v)
+    order = np.argsort(-a, kind="stable")
+    head = float(a[order[: p.s]].sum())
+    tail = float(a.sum() - head)
+    return head >= p.gamma * tail - tol
+
+
 def cone_normal(p: SgammaParams, n: int) -> np.ndarray:
     """a = (1,...,1, -gamma,...,-gamma) with s ones: K = {u >= 0, a @ u >= 0}."""
     a = np.full(n, -p.gamma)
@@ -460,6 +480,24 @@ def small_ball_lower_bound(spec: SubgaussianSpec, t: float) -> float:
     return (spec.alpha - t) ** 2 / (4.0 * spec.sigma**2)
 
 
+def mendelson_lower_bound(b: BoundInputs, width: float, m: int, t: float):
+    """Small-ball lower bound on inf ||Phi D x||_2 over the set:
+
+        (alpha eta / 64)(alpha/sigma)^2 sqrt(m) - 2 C sigma width - (alpha eta / 4) t
+
+    holding with probability at least 1 - exp(-t^2/2).  Returns
+    (value, probability).
+    """
+    if not (t > 0.0):
+        raise DomainError("t must be positive")
+    value = (
+        b.alpha * b.eta / 64.0 * (b.alpha / b.sigma) ** 2 * math.sqrt(m)
+        - 2.0 * b.C * b.sigma * width
+        - b.alpha * b.eta / 4.0 * t
+    )
+    return value, 1.0 - math.exp(-(t**2) / 2.0)
+
+
 def verify_tail(spec: SubgaussianSpec, z, t_grid, samples, rng: RngStream):
     """Empirical tail frequencies of <phi, z> against 2 exp(-t^2/(2 sigma^2)).
 
@@ -501,8 +539,8 @@ def spec_to_json(spec: SubgaussianSpec, covariance_path=None) -> dict:
 def record_projection_calls(monkeypatch):
     """Record the output of each cone_projection_values call in a list.
 
-    The Monte Carlo width estimators call it once per product block, by its
-    module name, as bench/tracer.py also expects.
+    width_DS_gamma_mc calls it once per product block, by its module name,
+    as bench/tracer.py also expects.
     """
     seen = []
     original = nsplab.width.cone_projection_values

@@ -86,12 +86,13 @@ BOUNDS_ARGS = {
     "flag, value",
     [("--eta", "1e-200"), ("--gamma", "1e-200"), ("--alpha", "1e-60"), ("--eta", "1e200"),
      ("--kappa", "1e200"), ("--sigma", "1e100"), ("--eta", "inf"), ("--width", "-1"),
-     pytest.param("--m", "1" + "0" * 310, id="--m-1e310")],
+     ("--m", "0"), ("--m", "-3"), pytest.param("--m", "1" + "0" * 310, id="--m-1e310")],
 )
 def test_bounds_input_out_of_range_exits_1(capsys, flag, value):
     # the formulas divide by eta^2, gamma^2 and alpha^6 and raise kappa to the
     # third power, and m * rate has no float for m = 10^310, so the finite
-    # inputs here leave the float range
+    # inputs here leave the float range; a width below 0 or an m below 1 is
+    # outside the formulas' domain
     argv = [arg for item in {**BOUNDS_ARGS, flag: value}.items() for arg in item]
     code, out, err = run_cli(capsys, "bounds", *argv)
     assert code == 1

@@ -87,8 +87,13 @@ class TestConfig:
             ExperimentConfig.from_json(path)
 
     def test_rejects_unsorted_m_grid(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="strictly ascending"):
             preserve_cfg(m_grid=(6, 3))
+
+    def test_rejects_repeated_m(self):
+        # a repeated m would write each of its trial rows, and its summary, twice
+        with pytest.raises(DomainError, match="strictly ascending"):
+            preserve_cfg(m_grid=(6, 6))
 
     def test_rejects_non_integer_m_grid(self):
         with pytest.raises(DomainError, match="integers"):

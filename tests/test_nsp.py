@@ -16,7 +16,6 @@ from nsplab.nsp import (
     certificate_to_json,
     certify_nsp,
     estimate_eta,
-    in_S_gamma,
 )
 from nsplab.numerics import kernel_basis
 from nsplab.rng import RngStream
@@ -26,6 +25,7 @@ from oracles import (
     circuit_qr_oracle,
     eta_grid_oracle,
     gamma_star_sampling_oracle,
+    in_S_gamma,
     support_lp_oracle,
 )
 

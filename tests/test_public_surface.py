@@ -11,7 +11,7 @@ PUBLIC = {
     "ExperimentConfig", "run_experiment", "run_preserve_nsp", "run_phase_transition",
     "run_width_compare", "run_bounds_table",
     # certificates and recovery
-    "certify_nsp", "NspCertificate", "SgammaParams", "in_S_gamma", "estimate_eta",
+    "certify_nsp", "NspCertificate", "SgammaParams", "estimate_eta",
     "EtaEstimate", "solve_l1_synthesis", "RecoveryResult",
     # dictionaries, rows and randomness
     "Dictionary", "make_dictionary", "SubgaussianSpec", "make_spec",
@@ -19,9 +19,9 @@ PUBLIC = {
     # widths
     "WidthEstimate", "width_DS_gamma_mc", "theory_width_bound", "crude_width_bound",
     "unit_ball_width",
-    # row-count formulas and small-ball quantities
+    # row-count formulas
     "FORMULA_IDS", "BoundInputs", "m_min", "success_rate", "success_probability",
-    "bounds_table", "estimate_Q", "estimate_W", "mendelson_lower_bound", "MendelsonBound",
+    "bounds_table",
     # numerics and text input
     "kernel_basis", "nonincreasing_rearrangement", "operator_norm", "read_matrix_text",
     "read_vector_text",
@@ -35,5 +35,5 @@ def test_public_names_are_exactly_the_listed_ones():
         name for name, value in vars(nsplab).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(PUBLIC) == 46
+    assert len(PUBLIC) == 41
     assert names == PUBLIC
