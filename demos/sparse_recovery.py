@@ -20,7 +20,7 @@ rng = RngStream(99)
 
 D = make_dictionary("gaussian_unit_norm", 12, 18, rng.substream("dict"))
 spec = make_spec("std_gaussian", 12)
-phi = sample_measurement_matrix(spec, 9, 12, rng.substream("phi"))
+phi = sample_measurement_matrix(spec, 9, rng.substream("phi"))
 B = phi @ D.matrix
 
 cert = certify_nsp(B, s=1)

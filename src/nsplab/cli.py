@@ -11,6 +11,8 @@ import dataclasses
 import json
 import sys
 
+import numpy as np
+
 from .errors import NsplabError
 from .harness import ExperimentConfig, _fmt, run_experiment
 from .nsp import certificate_to_json, certify_nsp
@@ -58,7 +60,7 @@ def _cmd_recover(args) -> int:
         x0 = read_vector_text(args.x0)
         if x0.size != result.x_hat.size:
             raise NsplabError(f"x0 has {x0.size} entries, the solution has {result.x_hat.size}")
-        payload["err_x"] = float(sum((a - b) ** 2 for a, b in zip(result.x_hat, x0)) ** 0.5)
+        payload["err_x"] = float(np.linalg.norm(result.x_hat - x0))
     print(json.dumps(payload))
     return 0
 

@@ -37,7 +37,7 @@ from .rng import RngStream, stable_stream_id
 from .smallball import BoundInputs, bounds_table
 from .solver import solve_l1_synthesis
 from .subgaussian import KINDS as SPEC_KINDS
-from .subgaussian import condition_number, make_spec, sample_measurement_matrix
+from .subgaussian import make_spec, sample_measurement_matrix
 from .width import crude_width_bound, theory_width_bound, width_DS_gamma_mc
 
 _CONFIG_KINDS = {"dict_kind": DICT_KINDS, "spec_kind": SPEC_KINDS}
@@ -102,6 +102,14 @@ class ExperimentConfig:
             raise DomainError("trials must be at least 1")
         if any(a >= b for a, b in zip(self.m_grid, self.m_grid[1:])):
             raise DomainError("m_grid must be strictly ascending")
+        if not 1 <= self.s <= self.n:
+            raise DomainError(f"config key 's' must be between 1 and n = {self.n}, got {self.s}")
+        if any(m < 1 for m in self.m_grid):
+            raise DomainError(f"config key 'm_grid' must hold entries of at least 1, got {self.m_grid}")
+        for key in ("eps", "success_factor"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise DomainError(f"config key {key!r} must be finite and at least 0, got {value!r}")
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
@@ -150,9 +158,9 @@ def _build_dictionary(cfg: ExperimentConfig):
     return make_dictionary(cfg.dict_kind, cfg.d, cfg.n, rng)
 
 
-def _build_spec(cfg: ExperimentConfig, d: int):
+def _build_spec(cfg: ExperimentConfig):
     cov = read_matrix_text(cfg.covariance_path) if cfg.covariance_path else None
-    return make_spec(cfg.spec_kind, d, covariance=cov, width_constant=cfg.width_constant)
+    return make_spec(cfg.spec_kind, cfg.d, covariance=cov, width_constant=cfg.width_constant)
 
 
 def run_preserve_nsp(cfg: ExperimentConfig) -> str:
@@ -170,13 +178,13 @@ def run_preserve_nsp(cfg: ExperimentConfig) -> str:
             f"base dictionary fails the NSP (gamma_star = {base.gamma_star}); "
             "no composition can satisfy it"
         )
-    spec = _build_spec(cfg, cfg.d)
+    spec = _build_spec(cfg)
     rows, summaries = [], []
     for m in cfg.m_grid:
         holds = 0
         for trial in range(cfg.trials):
             rng = RngStream(cfg.seed, stable_stream_id("preserve_nsp", m, trial))
-            phi = sample_measurement_matrix(spec, m, cfg.d, rng)
+            phi = sample_measurement_matrix(spec, m, rng)
             cert = certify_nsp(phi @ D.matrix, cfg.s)
             rows.append([m, trial, cert.verdict, cert.gamma_star])
             holds += cert.verdict == "holds"
@@ -194,14 +202,14 @@ def run_phase_transition(cfg: ExperimentConfig) -> str:
     if not cfg.m_grid:
         raise DomainError("phase_transition needs a nonempty m_grid")
     D = _build_dictionary(cfg)
-    spec = _build_spec(cfg, cfg.d)
+    spec = _build_spec(cfg)
     threshold = max(1e-6, cfg.success_factor * cfg.eps)
     rows, summaries = [], []
     for m in cfg.m_grid:
         successes = 0
         for trial in range(cfg.trials):
             rng = RngStream(cfg.seed, stable_stream_id("phase_transition", m, trial))
-            phi = sample_measurement_matrix(spec, m, cfg.d, rng)
+            phi = sample_measurement_matrix(spec, m, rng)
             B = phi @ D.matrix
             support = np.sort(rng.permutation(cfg.n)[: cfg.s])
             x0 = np.zeros(cfg.n)
@@ -279,7 +287,7 @@ def run_bounds_table(cfg: ExperimentConfig) -> str:
     condition number.  prob_at_m uses the largest grid m when given.
     """
     D = _build_dictionary(cfg)
-    spec = _build_spec(cfg, cfg.d)
+    spec = _build_spec(cfg)
     p = SgammaParams(cfg.gamma, cfg.s)
     eta = estimate_eta(
         D.matrix, p, cfg.eta_restarts, RngStream(cfg.seed, stable_stream_id("bounds_table", "eta"))
@@ -297,7 +305,7 @@ def run_bounds_table(cfg: ExperimentConfig) -> str:
         C=spec.width_constant,
         s=cfg.s,
         n=cfg.n,
-        kappa=condition_number(spec),
+        kappa=spec.kappa,
     )
     at_m = max(cfg.m_grid) if cfg.m_grid else None
     rows = bounds_table(b, width=width.mean, m=at_m)

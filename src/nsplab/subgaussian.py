@@ -4,7 +4,10 @@ A row distribution is tagged with (alpha, sigma): alpha lower-bounds
 E|<phi, z>| over unit z and sigma gives the Gaussian-type tail
 Pr(|<phi, z>| >= t) <= 2 exp(-t^2 / (2 sigma^2)).  The empirical-width
 constant C is 1 for Gaussian rows; for rademacher rows no universal value is
-published, so C is a required explicit input there.
+published, so C is a required explicit input there.  kappa is the condition
+number of the row covariance, 1 for the isotropic kinds; for gaussian_sigma
+it comes from the same eigendecomposition as alpha and sigma.  The spec is
+the whole row law: the sampler reads the dimension from it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ class SubgaussianSpec:
     alpha: float
     sigma: float
     width_constant: float           # the C in W_m(S) <= C sigma w(S)
-    covariance: np.ndarray | None = None
+    kappa: float = 1.0              # covariance condition number lambda_max / lambda_min
     sqrt_covariance: np.ndarray | None = None
 
 
@@ -67,29 +70,18 @@ def make_spec(kind, d, covariance=None, width_constant=None) -> SubgaussianSpec:
     sqrt_cov = (evecs * np.sqrt(evals)) @ evecs.T
     alpha = math.sqrt(evals[0]) * math.sqrt(2.0 / math.pi)
     sigma = math.sqrt(evals[-1])
-    S = S.copy()
-    S.flags.writeable = False
+    kappa = float(evals[-1] / evals[0])
     sqrt_cov.flags.writeable = False
-    return SubgaussianSpec(kind, d, alpha, sigma, 1.0, S, sqrt_cov)
+    return SubgaussianSpec(kind, d, alpha, sigma, 1.0, kappa, sqrt_cov)
 
 
-def condition_number(spec: SubgaussianSpec) -> float:
-    """kappa = sigma_max^2 / sigma_min^2 of the covariance (1 when isotropic)."""
-    if spec.kind != "gaussian_sigma":
-        return 1.0
-    evals = np.linalg.eigvalsh(spec.covariance)
-    return float(evals[-1] / evals[0])
-
-
-def sample_measurement_matrix(spec: SubgaussianSpec, m, d, rng: RngStream) -> np.ndarray:
-    """m x d matrix with rows drawn iid from the spec's distribution."""
-    if m < 1 or d < 1:
-        raise DomainError("m and d must be at least 1")
-    if d != spec.dim:
-        raise DomainError(f"spec is {spec.dim}-dimensional, requested d={d}")
+def sample_measurement_matrix(spec: SubgaussianSpec, m, rng: RngStream) -> np.ndarray:
+    """m x spec.dim matrix with rows drawn iid from the spec's distribution."""
+    if m < 1:
+        raise DomainError("m must be at least 1")
     if spec.kind == "rademacher":
-        return rng.signs((m, d))
-    G = rng.normal((m, d))
+        return rng.signs((m, spec.dim))
+    G = rng.normal((m, spec.dim))
     if spec.kind == "std_gaussian":
         return G
     return G @ spec.sqrt_covariance  # rows are Sigma^{1/2} g

@@ -512,7 +512,7 @@ def verify_tail(spec: SubgaussianSpec, z, t_grid, samples, rng: RngStream):
     done = 0
     while done < samples:
         block = min(_SAMPLE_BLOCK, samples - done)
-        phi = sample_measurement_matrix(spec, block, spec.dim, rng)
+        phi = sample_measurement_matrix(spec, block, rng)
         u = np.abs(phi @ zv)
         counts += (u[None, :] >= ts[:, None]).sum(axis=1)
         done += block

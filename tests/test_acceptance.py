@@ -217,7 +217,7 @@ def test_criterion_6_recovery_iff_nsp():
         rng = RngStream(600)
         D = make_dictionary("gaussian_unit_norm", 8, 12, rng.substream("dict"))
         spec = make_spec("std_gaussian", 8)
-        phi = sample_measurement_matrix(spec, 7, 8, rng.substream("phi"))
+        phi = sample_measurement_matrix(spec, 7, rng.substream("phi"))
         B = phi @ D.matrix
 
         # certified at s = 1: every planted 1-sparse vector comes back exactly
@@ -245,7 +245,7 @@ def test_criterion_6_recovery_iff_nsp():
         Dbad = np.column_stack([base, 2.0 * base[:, 0]])
         certb = certify_nsp(Dbad, 1)
         assert certb.verdict == "fails"
-        phi_b = sample_measurement_matrix(make_spec("std_gaussian", 6), 5, 6, rng.substream("pb"))
+        phi_b = sample_measurement_matrix(make_spec("std_gaussian", 6), 5, rng.substream("pb"))
         certc = certify_nsp(phi_b @ Dbad, 1)
         assert certc.verdict == "fails"
         Tb = list(certc.witness_support)
@@ -301,7 +301,7 @@ def test_criterion_8_recovery_bound_audit():
             for eps in (0.0, 0.05, 0.1):
                 for trial in range(5):
                     sub = rng.substream(m, eps, trial)
-                    phi = sample_measurement_matrix(spec, m, d, sub.substream("phi"))
+                    phi = sample_measurement_matrix(spec, m, sub.substream("phi"))
                     B = phi @ D.matrix
                     cert = certify_nsp(B, 1)
                     if not cert.holds:

@@ -130,7 +130,7 @@ def test_recover_roundtrip(tmp_path, capsys):
 
 
 def test_recover_x0_length_mismatch_exits_1(tmp_path, capsys):
-    # zip would pair only the first 4 entries and report err_x 0.0
+    # refused before the subtraction, which would fail in numpy or broadcast
     y = np.arange(10.0)
     write_matrix_text(tmp_path / "B.txt", np.eye(10))
     write_vector_text(tmp_path / "y.txt", y)
@@ -142,6 +142,27 @@ def test_recover_x0_length_mismatch_exits_1(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: x0 has 4 entries") and "Traceback" not in err
+
+
+def test_recover_err_x_is_the_campaign_norm(tmp_path, capsys):
+    # err_x is np.linalg.norm(x_hat - x0), bit for bit, as in phase_transition
+    rng = RngStream(93)
+    B = rng.normal((20, 40))
+    x0 = np.zeros(40)
+    x0[np.sort(rng.permutation(40)[:3])] = rng.normal(3)
+    write_matrix_text(tmp_path / "B.txt", B)
+    write_vector_text(tmp_path / "y.txt", B @ x0 + 0.1 * rng.unit_vector(20))
+    write_vector_text(tmp_path / "x0.txt", x0)
+    code, out, _ = run_cli(
+        capsys, "recover", "--B", str(tmp_path / "B.txt"), "--y", str(tmp_path / "y.txt"),
+        "--eps", "0.1", "--x0", str(tmp_path / "x0.txt"),
+    )
+    assert code == 0
+    payload = json.loads(out)
+    diff = np.array(payload["x_hat"]) - x0
+    assert payload["err_x"] == float(np.linalg.norm(diff))
+    # a sum of squares in index order rounds differently on this problem
+    assert payload["err_x"] != sum(v * v for v in diff.tolist()) ** 0.5
 
 
 def test_recover_signal_from_dictionary(tmp_path, capsys):
@@ -286,3 +307,20 @@ def test_config_kind_it_cannot_build_exits_1(tmp_path, capsys, key, value):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: config key '{key}'")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("s", 0), ("s", 8), ("m_grid", [0, 3]), ("eps", -0.1), ("eps", float("inf")),
+     ("success_factor", float("nan")), ("success_factor", -1.0)],
+    ids=["s-zero", "s-above-n", "m_grid-zero", "eps-negative", "eps-inf", "success_factor-nan",
+         "success_factor-negative"],
+)
+def test_config_value_out_of_range_exits_1(tmp_path, capsys, key, value):
+    # refused when the config is read, naming the key, before any matrix is built
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**PRESERVE_CFG, "experiment": "phase_transition", key: value}))
+    code, out, err = run_cli(capsys, "phase", "--config", str(path), "--quiet")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: config key '{key}'") and err.count("\n") == 1

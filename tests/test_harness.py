@@ -62,7 +62,7 @@ def test_preserve_trial_draws_phi_first_from_its_stream():
         cfg.dict_kind, cfg.d, cfg.n, RngStream(cfg.seed, stable_stream_id("preserve_nsp", "dictionary"))
     )
     rng = RngStream(cfg.seed, stable_stream_id("preserve_nsp", 6, 1))
-    phi = sample_measurement_matrix(make_spec(cfg.spec_kind, cfg.d), 6, cfg.d, rng)
+    phi = sample_measurement_matrix(make_spec(cfg.spec_kind, cfg.d), 6, rng)
     cert = certify_nsp(phi @ D.matrix, cfg.s)
     _, rows = parse_csv(run_preserve_nsp(cfg))
     assert [r for r in rows if r[:2] == ["6", "1"]] == [["6", "1", cert.verdict, f"{cert.gamma_star:.17g}"]]
@@ -94,6 +94,25 @@ class TestConfig:
         # a repeated m would write each of its trial rows, and its summary, twice
         with pytest.raises(DomainError, match="strictly ascending"):
             preserve_cfg(m_grid=(6, 6))
+
+    @pytest.mark.parametrize(
+        "over",
+        [{"s": 0}, {"s": 9}, {"m_grid": (0, 3)}, {"m_grid": (-2, 3)}, {"eps": -0.01},
+         {"eps": math.nan}, {"success_factor": math.nan}, {"success_factor": math.inf},
+         {"success_factor": -1.0}],
+        ids=["s-zero", "s-above-n", "m_grid-zero", "m_grid-negative", "eps-negative", "eps-nan",
+             "success_factor-nan", "success_factor-inf", "success_factor-negative"],
+    )
+    def test_rejects_value_out_of_range(self, over):
+        # each would run silently wrong (s = 0 plants x0 = 0, NaN drops out of the
+        # success threshold) or fail late with a message that names no key
+        with pytest.raises(DomainError, match=f"config key '{next(iter(over))}'"):
+            preserve_cfg(experiment="phase_transition", d=4, n=6, **over)
+
+    def test_accepts_values_at_the_edges(self):
+        cfg = preserve_cfg(experiment="phase_transition", d=4, n=6, s=6, m_grid=(1,),
+                           eps=0.0, success_factor=0.0)
+        assert (cfg.s, cfg.m_grid) == (6, (1,))
 
     def test_rejects_non_integer_m_grid(self):
         with pytest.raises(DomainError, match="integers"):

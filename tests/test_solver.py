@@ -196,7 +196,7 @@ def _phase_problems():
     for m in (8, 12, 16, 20):
         for trial in range(2):
             sub = rng.substream(m, trial)
-            B = sample_measurement_matrix(spec, m, 20, sub) @ D.matrix
+            B = sample_measurement_matrix(spec, m, sub) @ D.matrix
             x0 = np.zeros(40)
             x0[np.sort(sub.permutation(40)[:3])] = sub.normal(3)
             yield B, B @ x0 + 0.01 * sub.unit_vector(m)
@@ -285,7 +285,7 @@ def _rademacher_problems():
     for m in (6, 8, 10, 12, 14, 16):
         for trial in range(10):
             sub = rng.substream(m, trial)
-            B = sample_measurement_matrix(spec, m, 20, sub)
+            B = sample_measurement_matrix(spec, m, sub)
             x0 = np.zeros(20)
             x0[np.sort(sub.permutation(20)[:3])] = sub.normal(3)
             yield B, B @ x0, sub.unit_vector(m)

@@ -5,7 +5,7 @@ import pytest
 
 from nsplab.errors import DomainError
 from nsplab.rng import RngStream
-from nsplab.subgaussian import condition_number, make_spec, sample_measurement_matrix
+from nsplab.subgaussian import make_spec, sample_measurement_matrix
 from oracles import small_ball_lower_bound, spec_to_json, verify_tail
 
 
@@ -24,7 +24,7 @@ class TestMakeSpec:
         spec = make_spec("gaussian_sigma", 2, covariance=np.diag([4.0, 1.0]))
         assert spec.alpha == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-12)
         assert spec.sigma == pytest.approx(2.0, abs=1e-12)
-        assert condition_number(spec) == pytest.approx(4.0, rel=1e-10)
+        assert spec.kappa == pytest.approx(4.0, rel=1e-10)
 
     def test_identity_covariance_matches_std(self):
         spec = make_spec("gaussian_sigma", 3, covariance=np.eye(3))
@@ -40,6 +40,18 @@ class TestMakeSpec:
         assert spec.sigma == 1.0
         assert spec.width_constant == 2.0
 
+    def test_isotropic_kinds_have_kappa_one(self):
+        assert make_spec("std_gaussian", 5).kappa == 1.0
+        assert make_spec("rademacher", 5, width_constant=1.0).kappa == 1.0
+
+    @pytest.mark.parametrize("d", [5, 12])
+    def test_kappa_matches_eigvalsh_ratio(self, d):
+        A = RngStream(20 + d).normal((d, d))
+        S = A @ A.T + 0.1 * np.eye(d)
+        evals = np.linalg.eigvalsh(S)
+        spec = make_spec("gaussian_sigma", d, covariance=S)
+        assert spec.kappa == pytest.approx(evals[-1] / evals[0], rel=1e-12)
+
     def test_rejects_non_spd_covariance(self):
         with pytest.raises(DomainError):
             make_spec("gaussian_sigma", 2, covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))
@@ -50,25 +62,36 @@ class TestMakeSpec:
 class TestSampling:
     def test_determinism(self):
         spec = make_spec("std_gaussian", 3)
-        a = sample_measurement_matrix(spec, 2, 3, RngStream(0))
-        b = sample_measurement_matrix(spec, 2, 3, RngStream(0))
+        a = sample_measurement_matrix(spec, 2, RngStream(0))
+        b = sample_measurement_matrix(spec, 2, RngStream(0))
         assert np.array_equal(a, b)
 
     def test_rademacher_support(self):
         spec = make_spec("rademacher", 4, width_constant=1.0)
-        phi = sample_measurement_matrix(spec, 4, 4, RngStream(1))
+        phi = sample_measurement_matrix(spec, 4, RngStream(1))
         assert set(np.unique(phi)) <= {-1.0, 1.0}
+
+    @pytest.mark.parametrize(
+        "kind, kwargs",
+        [
+            ("std_gaussian", {}),
+            ("gaussian_sigma", {"covariance": np.diag([4.0, 1.0, 0.5])}),
+            ("rademacher", {"width_constant": 1.0}),
+        ],
+    )
+    def test_shape_takes_dimension_from_spec(self, kind, kwargs):
+        spec = make_spec(kind, 3, **kwargs)
+        assert sample_measurement_matrix(spec, 5, RngStream(3)).shape == (5, spec.dim)
+
+    def test_rejects_m_below_one(self):
+        with pytest.raises(DomainError, match="m must be at least 1"):
+            sample_measurement_matrix(make_spec("std_gaussian", 3), 0, RngStream(0))
 
     def test_empirical_covariance(self):
         spec = make_spec("gaussian_sigma", 2, covariance=np.diag([4.0, 1.0]))
-        phi = sample_measurement_matrix(spec, 100_000, 2, RngStream(2))
+        phi = sample_measurement_matrix(spec, 100_000, RngStream(2))
         emp = phi.T @ phi / phi.shape[0]
         assert np.allclose(emp, np.diag([4.0, 1.0]), rtol=0.05, atol=0.05)
-
-    def test_dimension_mismatch(self):
-        spec = make_spec("std_gaussian", 3)
-        with pytest.raises(DomainError):
-            sample_measurement_matrix(spec, 2, 4, RngStream(0))
 
 
 class TestSmallBall:
@@ -94,7 +117,7 @@ class TestSmallBall:
         spec = make_spec("std_gaussian", 6)
         t = spec.alpha / 2.0
         z = RngStream(3).unit_vector(6)
-        phi = sample_measurement_matrix(spec, 200_000, 6, RngStream(4))
+        phi = sample_measurement_matrix(spec, 200_000, RngStream(4))
         emp = float((np.abs(phi @ z) >= t).mean())
         expected = 2.0 * (1.0 - normal_cdf(t))
         assert emp == pytest.approx(expected, abs=0.005)
@@ -148,7 +171,7 @@ class TestVerifyTail:
 
 def test_first_moment_matches_alpha_for_std_gaussian():
     spec = make_spec("std_gaussian", 5)
-    phi = sample_measurement_matrix(spec, 1_000_000, 5, RngStream(11))
+    phi = sample_measurement_matrix(spec, 1_000_000, RngStream(11))
     rng = RngStream(12)
     se = math.sqrt((1.0 - 2.0 / math.pi) / phi.shape[0])
     for k in range(20):
