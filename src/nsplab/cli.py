@@ -23,7 +23,7 @@ from .solver import recovery_result_to_json, solve_l1_synthesis
 
 def _cmd_nsp_check(args) -> int:
     A = read_matrix_text(args.A)
-    cert = certify_nsp(A, args.s, tol=args.tol)
+    cert = certify_nsp(A, args.s)
     print(json.dumps(certificate_to_json(cert)))
     return 0
 
@@ -54,7 +54,10 @@ def _cmd_recover(args) -> int:
     payload = recovery_result_to_json(result)
     z_hat = None
     if args.D and result.x_hat is not None:
-        z_hat = (read_matrix_text(args.D) @ result.x_hat).tolist()
+        D = read_matrix_text(args.D)
+        if D.shape[1] != result.x_hat.size:
+            raise NsplabError(f"D has {D.shape[1]} columns, the solution has {result.x_hat.size} entries")
+        z_hat = (D @ result.x_hat).tolist()
     payload["z_hat"] = z_hat
     if args.x0 and result.x_hat is not None:
         x0 = read_vector_text(args.x0)
@@ -72,9 +75,7 @@ def _cmd_experiment(args) -> int:
         raise NsplabError(f"config is for {cfg.experiment!r}, this command runs {expected!r}")
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    text = run_experiment(cfg)
-    if not args.quiet:
-        sys.stdout.write(text)
+    sys.stdout.write(run_experiment(cfg))
     return 0
 
 
@@ -85,7 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nsp-check", help="certify the stable NSP of a matrix")
     p.add_argument("--A", required=True, help="matrix text file")
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(fn=_cmd_nsp_check)
 
     p = sub.add_parser("bounds", help="print the five measurement-count formulas as CSV")
@@ -115,10 +115,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ("phase", "phase_transition"),
         ("preserve", "preserve_nsp"),
     ):
-        p = sub.add_parser(name, help=f"run the {name} experiment from a JSON config")
+        p = sub.add_parser(name, help=f"run the {name} experiment from a JSON config, CSV to stdout")
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--quiet", action="store_true", help="suppress CSV echo to stdout")
         p.set_defaults(fn=_cmd_experiment, experiment=experiment)
 
     return top

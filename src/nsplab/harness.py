@@ -41,6 +41,7 @@ from .subgaussian import make_spec, sample_measurement_matrix
 from .width import crude_width_bound, theory_width_bound, width_DS_gamma_mc
 
 _CONFIG_KINDS = {"dict_kind": DICT_KINDS, "spec_kind": SPEC_KINDS}
+_ETA_RESTARTS = 20  # estimate_eta restarts in bounds_table
 
 
 @dataclass(frozen=True)
@@ -58,9 +59,7 @@ class ExperimentConfig:
     m_grid: tuple = ()
     trials: int = 1
     eps: float = 0.0
-    output: str | None = None
     success_factor: float = 10.0       # noisy-recovery success threshold multiplier
-    eta_restarts: int = 20             # for bounds_table
     n_grid: tuple | None = None        # width_compare sweeps; default singleton grids
     s_grid: tuple | None = None
     gamma_grid: tuple | None = None
@@ -98,6 +97,8 @@ class ExperimentConfig:
                 raise DomainError(
                     f"config key {key!r} must be one of {kinds}, got {getattr(self, key)!r}"
                 )
+        if not 0 <= self.seed < 2**63:
+            raise DomainError(f"config key 'seed' must lie in [0, 2**63), got {self.seed}")
         if self.trials < 1:
             raise DomainError("trials must be at least 1")
         if any(a >= b for a, b in zip(self.m_grid, self.m_grid[1:])):
@@ -142,15 +143,12 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit_csv(cfg: ExperimentConfig, header, rows) -> str:
+def _emit_csv(header, rows) -> str:
     lines = [f"# generated {datetime.now(timezone.utc).isoformat()}"]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if cfg.output:
-        Path(cfg.output).write_text(text, encoding="ascii", newline="")
-    return text
+    return "\n".join(lines) + "\n"
 
 
 def _build_dictionary(cfg: ExperimentConfig):
@@ -189,7 +187,7 @@ def run_preserve_nsp(cfg: ExperimentConfig) -> str:
             rows.append([m, trial, cert.verdict, cert.gamma_star])
             holds += cert.verdict == "holds"
         summaries.append([m, "summary", "frequency", holds / cfg.trials])
-    return _emit_csv(cfg, ["m", "trial", "verdict", "gamma_star"], rows + summaries)
+    return _emit_csv(["m", "trial", "verdict", "gamma_star"], rows + summaries)
 
 
 def run_phase_transition(cfg: ExperimentConfig) -> str:
@@ -227,7 +225,7 @@ def run_phase_transition(cfg: ExperimentConfig) -> str:
             rows.append([m, trial, success, err_x, err_z, 0.0])
             successes += success
         summaries.append([m, "summary", successes / cfg.trials, "", "", ""])
-    return _emit_csv(cfg, ["m", "trial", "success", "err_x", "err_z", "sigma_s"], rows + summaries)
+    return _emit_csv(["m", "trial", "success", "err_x", "err_z", "sigma_s"], rows + summaries)
 
 
 def run_width_compare(cfg: ExperimentConfig) -> str:
@@ -276,7 +274,7 @@ def run_width_compare(cfg: ExperimentConfig) -> str:
         "theory_bound",
         "crude_bound",
     ]
-    return _emit_csv(cfg, header, rows)
+    return _emit_csv(header, rows)
 
 
 def run_bounds_table(cfg: ExperimentConfig) -> str:
@@ -290,7 +288,7 @@ def run_bounds_table(cfg: ExperimentConfig) -> str:
     spec = _build_spec(cfg)
     p = SgammaParams(cfg.gamma, cfg.s)
     eta = estimate_eta(
-        D.matrix, p, cfg.eta_restarts, RngStream(cfg.seed, stable_stream_id("bounds_table", "eta"))
+        D.matrix, p, _ETA_RESTARTS, RngStream(cfg.seed, stable_stream_id("bounds_table", "eta"))
     )
     if not (eta.eta_upper > 0.0):
         raise NspRequiredError("estimated eta is zero: the dictionary fails the NSP")
@@ -309,7 +307,7 @@ def run_bounds_table(cfg: ExperimentConfig) -> str:
     )
     at_m = max(cfg.m_grid) if cfg.m_grid else None
     rows = bounds_table(b, width=width.mean, m=at_m)
-    return _emit_csv(cfg, list(rows[0]), [r.values() for r in rows])
+    return _emit_csv(list(rows[0]), [r.values() for r in rows])
 
 
 _RUNNERS = {

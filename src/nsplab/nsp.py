@@ -47,6 +47,7 @@ from .solver import solve_l1_synthesis
 solve_lp = solve_l1_synthesis  # the support problems' solver; bench/tracer.py wraps this attribute
 
 CERT_BUDGET = 10**6      # circuit candidates and minor-table entries, or support problems
+VERDICT_TOL = 1e-9       # the verdict holds iff gamma_star < 1 - VERDICT_TOL
 _CIRCUIT_CHUNK = 2**13   # subset entries per unranking and gather in the circuit route,
                          # 64 KB per index array, and at least 256 candidates (as many
                          # as the QR route took) so that long candidates amortize the
@@ -81,7 +82,6 @@ class NspCertificate:
     gamma_star: float
     verdict: str                     # 'holds' | 'fails'
     s: int
-    tol: float
     witness_support: tuple | None    # support T achieving gamma_star
     witness: np.ndarray | None       # kernel vector with unit tail l1 mass
     method: str                      # 'circuits' | 'lp'
@@ -346,13 +346,13 @@ def _certify_lp(N, s):
     return best, best_T, best_x, evaluated
 
 
-def certify_nsp(A, s: int, tol: float = 1e-9, budget: int = CERT_BUDGET) -> NspCertificate:
+def certify_nsp(A, s: int, budget: int = CERT_BUDGET) -> NspCertificate:
     """Exact stable-NSP certificate for A at sparsity s.
 
     gamma_star is the supremum of ||x_T||_1 / ||x_{T^c}||_1 over nonzero
-    kernel vectors and |T| = s; the verdict holds iff gamma_star < 1 - tol,
-    for a tol in (0, 1).  tol sets the verdict margin only: gamma_star does
-    not depend on it.
+    kernel vectors and |T| = s; the verdict holds iff
+    gamma_star < 1 - VERDICT_TOL.  The NSP at another level gamma, or with
+    another margin, is the comparison gamma_star < gamma.
     The circuit route runs when its C(n, k-1) candidates and the C(n, r)
     entries of its minor table, r = min(k, n-k), both fit the budget (k the
     kernel dimension).  Since C(n, k-1) (n-k+1) = k C(n, k), its walk then
@@ -368,12 +368,10 @@ def certify_nsp(A, s: int, tol: float = 1e-9, budget: int = CERT_BUDGET) -> NspC
     n = M.shape[1]
     if not (1 <= s <= n):
         raise DomainError(f"s must lie in [1, {n}], got {s}")
-    if not (0 < tol < 1):
-        raise DomainError(f"tol must lie in (0, 1), got {tol}")
     N = kernel_basis(M)
     k = N.shape[1]
     if k == 0:
-        return NspCertificate(0.0, "holds", s, tol, None, None, "circuits", 0)
+        return NspCertificate(0.0, "holds", s, None, None, "circuits", 0)
     circuits = math.comb(n, k - 1)
     minors = math.comb(n, min(k, n - k))
     lps = math.comb(n, s) * 2 ** (s - 1)
@@ -389,8 +387,8 @@ def certify_nsp(A, s: int, tol: float = 1e-9, budget: int = CERT_BUDGET) -> NspC
             f"or {lps} LPs, "
             f"budget is {budget}"
         )
-    verdict = "holds" if gamma_star < 1.0 - tol else "fails"
-    return NspCertificate(gamma_star, verdict, s, tol, T, witness, method, evaluated)
+    verdict = "holds" if gamma_star < 1.0 - VERDICT_TOL else "fails"
+    return NspCertificate(gamma_star, verdict, s, T, witness, method, evaluated)
 
 
 def certificate_to_json(cert: NspCertificate) -> dict:
@@ -400,7 +398,6 @@ def certificate_to_json(cert: NspCertificate) -> dict:
         "witness_support": list(cert.witness_support) if cert.witness_support else None,
         "witness_vector": cert.witness.tolist() if cert.witness is not None else None,
         "s": cert.s,
-        "tol": cert.tol,
         "method": cert.method,
         "evaluated": cert.evaluated,
     }

@@ -12,6 +12,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import DomainError
+
 _MASK63 = (1 << 63) - 1
 _TWO_PI = 2.0 * np.pi
 
@@ -24,12 +26,14 @@ def stable_stream_id(*parts) -> int:
 
 
 class RngStream:
-    """A replayable random stream: (seed, stream) determines every draw."""
+    """A replayable random stream: (seed, stream), each in [0, 2**63), determines every draw."""
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed)
         self.stream = int(stream)
-        key = np.array([self.seed & ~(1 << 63), self.stream & ~(1 << 63)], dtype=np.uint64)
+        if not (0 <= self.seed < 2**63 and 0 <= self.stream < 2**63):
+            raise DomainError(f"seed {self.seed} and stream {self.stream} must lie in [0, 2**63)")
+        key = np.array([self.seed, self.stream], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def __repr__(self):

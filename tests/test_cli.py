@@ -41,15 +41,18 @@ def test_nsp_check_lp_failure_exits_1(tmp_path, capsys, monkeypatch, failure):
 
 
 @pytest.mark.parametrize("tol", ["-0.6", "nan"])
-def test_nsp_check_tol_outside_unit_interval_exits_1(tmp_path, capsys, tol):
-    # gamma_star = 1.17 at s = 1 fails the NSP; the verdict rule gamma_star < 1 - tol
-    # would call it "holds" at tol = -0.6
+def test_nsp_check_takes_no_tol(tmp_path, capsys, tol):
+    # the verdict margin is fixed at VERDICT_TOL; a rule gamma_star < 1 - tol would
+    # call gamma_star = 1.17 (s = 1 here) "holds" at tol = -0.6
     path = tmp_path / "A.txt"
     write_matrix_text(path, RngStream(2).normal((6, 10)))
-    code, out, err = run_cli(capsys, "nsp-check", "--A", str(path), "--s", "1", "--tol", tol)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
+    with pytest.raises(SystemExit) as exc:
+        main(["nsp-check", "--A", str(path), "--s", "1", "--tol", tol])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "nsp-check", "--A", str(path), "--s", "1")
+    payload = json.loads(out)
+    assert code == 0 and payload["verdict"] == "fails" and payload["gamma_star"] > 1.0
 
 
 def test_nsp_check_missing_file(tmp_path, capsys):
@@ -144,6 +147,20 @@ def test_recover_x0_length_mismatch_exits_1(tmp_path, capsys):
     assert err.startswith("error: x0 has 4 entries") and "Traceback" not in err
 
 
+def test_recover_D_width_mismatch_exits_1(tmp_path, capsys):
+    # refused before the product, whose numpy message names neither D nor the solution
+    write_matrix_text(tmp_path / "B.txt", np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+    write_vector_text(tmp_path / "y.txt", np.array([1.0, 1.0]))
+    write_matrix_text(tmp_path / "D.txt", np.eye(2))
+    code, out, err = run_cli(
+        capsys, "recover", "--B", str(tmp_path / "B.txt"), "--y", str(tmp_path / "y.txt"),
+        "--D", str(tmp_path / "D.txt"),
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: D has 2 columns, the solution has 3 entries\n"
+
+
 def test_recover_err_x_is_the_campaign_norm(tmp_path, capsys):
     # err_x is np.linalg.norm(x_hat - x0), bit for bit, as in phase_transition
     rng = RngStream(93)
@@ -231,19 +248,17 @@ def test_preserve_from_config_and_seed_override(tmp_path, capsys):
     cfg = {
         "experiment": "preserve_nsp", "d": 5, "n": 7, "s": 1, "gamma": 0.9,
         "seed": 3, "m_grid": [5], "trials": 3,
-        "output": str(tmp_path / "out.csv"),
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    code, out, _ = run_cli(capsys, "preserve", "--config", str(path), "--quiet")
+    code, text1, _ = run_cli(capsys, "preserve", "--config", str(path))
     assert code == 0
-    text1 = (tmp_path / "out.csv").read_text()
-    code, _, _ = run_cli(capsys, "preserve", "--config", str(path), "--quiet")
-    text2 = (tmp_path / "out.csv").read_text()
+    assert text1.startswith("# generated") and len(text1.splitlines()) == 2 + 3 + 1
+    code, text2, _ = run_cli(capsys, "preserve", "--config", str(path))
     strip = lambda t: [ln for ln in t.splitlines() if not ln.startswith("#")]
     assert strip(text1) == strip(text2)
-    code, _, _ = run_cli(capsys, "preserve", "--config", str(path), "--seed", "4", "--quiet")
-    assert strip((tmp_path / "out.csv").read_text()) != strip(text1)
+    code, text3, _ = run_cli(capsys, "preserve", "--config", str(path), "--seed", "4")
+    assert code == 0 and strip(text3) != strip(text1)
 
 
 def test_width_config_mismatch_exits_1(tmp_path, capsys):
@@ -292,7 +307,7 @@ PRESERVE_CFG = {
 def test_config_value_of_wrong_type_exits_1(tmp_path, capsys, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
-    code, out, err = run_cli(capsys, "preserve", "--config", str(path), "--quiet")
+    code, out, err = run_cli(capsys, "preserve", "--config", str(path))
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
@@ -303,7 +318,7 @@ def test_config_kind_it_cannot_build_exits_1(tmp_path, capsys, key, value):
     # refused when the config is read, naming the key, before any matrix is built
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**PRESERVE_CFG, key: value}))
-    code, out, err = run_cli(capsys, "preserve", "--config", str(path), "--quiet")
+    code, out, err = run_cli(capsys, "preserve", "--config", str(path))
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: config key '{key}'")
@@ -320,7 +335,23 @@ def test_config_value_out_of_range_exits_1(tmp_path, capsys, key, value):
     # refused when the config is read, naming the key, before any matrix is built
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**PRESERVE_CFG, "experiment": "phase_transition", key: value}))
-    code, out, err = run_cli(capsys, "phase", "--config", str(path), "--quiet")
+    code, out, err = run_cli(capsys, "phase", "--config", str(path))
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: config key '{key}'") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "seed, argv",
+    [(-1, ()), (2**63, ()), (3, ("--seed", "-1")), (3, ("--seed", str(2**63)))],
+    ids=["json-negative", "json-2**63", "flag-negative", "flag-2**63"],
+)
+def test_seed_outside_63_bits_exits_1(tmp_path, capsys, seed, argv):
+    # RngStream keys lie in [0, 2**63): a config seed outside is refused when the
+    # config is read, and a --seed override when it replaces the config seed
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**PRESERVE_CFG, "seed": seed}))
+    code, out, err = run_cli(capsys, "preserve", "--config", str(path), *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: config key 'seed'") and err.count("\n") == 1

@@ -99,20 +99,23 @@ class TestConfig:
         "over",
         [{"s": 0}, {"s": 9}, {"m_grid": (0, 3)}, {"m_grid": (-2, 3)}, {"eps": -0.01},
          {"eps": math.nan}, {"success_factor": math.nan}, {"success_factor": math.inf},
-         {"success_factor": -1.0}],
+         {"success_factor": -1.0}, {"seed": -1}, {"seed": 2**63}],
         ids=["s-zero", "s-above-n", "m_grid-zero", "m_grid-negative", "eps-negative", "eps-nan",
-             "success_factor-nan", "success_factor-inf", "success_factor-negative"],
+             "success_factor-nan", "success_factor-inf", "success_factor-negative",
+             "seed-negative", "seed-2**63"],
     )
     def test_rejects_value_out_of_range(self, over):
         # each would run silently wrong (s = 0 plants x0 = 0, NaN drops out of the
-        # success threshold) or fail late with a message that names no key
+        # success threshold) or fail late with a message that names no key (a seed
+        # outside [0, 2**63) is no RngStream key)
         with pytest.raises(DomainError, match=f"config key '{next(iter(over))}'"):
             preserve_cfg(experiment="phase_transition", d=4, n=6, **over)
 
     def test_accepts_values_at_the_edges(self):
         cfg = preserve_cfg(experiment="phase_transition", d=4, n=6, s=6, m_grid=(1,),
-                           eps=0.0, success_factor=0.0)
+                           eps=0.0, success_factor=0.0, seed=2**63 - 1)
         assert (cfg.s, cfg.m_grid) == (6, (1,))
+        assert preserve_cfg(seed=0).seed == 0
 
     def test_rejects_non_integer_m_grid(self):
         with pytest.raises(DomainError, match="integers"):
@@ -175,13 +178,6 @@ class TestPreserve:
         cfg = preserve_cfg(d=1, n=2, s=1, seed=7)
         with pytest.raises(NspRequiredError):
             run_preserve_nsp(cfg)
-
-    def test_writes_output_file(self, tmp_path):
-        out = tmp_path / "res.csv"
-        cfg = preserve_cfg(output=str(out))
-        text = run_preserve_nsp(cfg)
-        assert out.read_text() == text
-        assert text.endswith("\n")
 
 
 class TestPhase:
@@ -263,7 +259,7 @@ class TestBoundsTable:
     def test_rows_present_and_finite(self):
         cfg = ExperimentConfig(
             experiment="bounds_table", d=5, n=8, s=1, gamma=0.5, seed=18,
-            trials=300, m_grid=(100,), eta_restarts=8,
+            trials=300, m_grid=(100,),
         )
         header, rows = parse_csv(run_bounds_table(cfg))
         assert header == ["formula_id", "m_min", "rate", "prob_at_m"]

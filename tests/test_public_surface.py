@@ -2,9 +2,15 @@
 a CLI command, or tests and demos need it to drive one.  A name added or
 removed here is a decision about that surface, not a side effect."""
 
+import dataclasses
+import inspect
 import types
 
+import numpy as np
+
 import nsplab
+from nsplab.cli import _build_parser
+from nsplab.nsp import certificate_to_json
 
 PUBLIC = {
     # campaigns and the CLI
@@ -37,3 +43,36 @@ def test_public_names_are_exactly_the_listed_ones():
     }
     assert len(PUBLIC) == 41
     assert names == PUBLIC
+
+
+# The settable surface: every key, parameter and flag below changes a result
+# or guards a resource.  A value nothing sets is a constant, not a knob.
+
+def test_config_keys():
+    assert [f.name for f in dataclasses.fields(nsplab.ExperimentConfig)] == [
+        "experiment", "d", "n", "s", "gamma", "seed", "dict_kind", "spec_kind",
+        "covariance_path", "width_constant", "m_grid", "trials", "eps", "success_factor",
+        "n_grid", "s_grid", "gamma_grid",
+    ]
+
+
+def test_certificate_surface():
+    assert list(inspect.signature(nsplab.certify_nsp).parameters) == ["A", "s", "budget"]
+    assert [f.name for f in dataclasses.fields(nsplab.NspCertificate)] == [
+        "gamma_star", "verdict", "s", "witness_support", "witness", "method", "evaluated",
+    ]
+    cert = nsplab.certify_nsp(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]), 1)
+    assert list(certificate_to_json(cert)) == [
+        "gamma_star", "verdict", "witness_support", "witness_vector", "s", "method", "evaluated",
+    ]
+
+
+def test_command_flags():
+    commands = _build_parser()._subparsers._group_actions[0].choices
+    flags = {
+        name: [a.option_strings[0] for a in p._actions if a.option_strings[0] != "-h"]
+        for name, p in commands.items()
+    }
+    assert flags["nsp-check"] == ["--A", "--s"]
+    for name in ("preserve", "phase", "width"):
+        assert flags[name] == ["--config", "--seed"]

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from nsplab.errors import DomainError
 from nsplab.rng import RngStream, stable_stream_id
 
 
@@ -20,6 +22,22 @@ def test_stable_stream_id_is_stable():
     assert stable_stream_id("preserve_nsp", 4, 0) == stable_stream_id("preserve_nsp", 4, 0)
     assert stable_stream_id("a") != stable_stream_id("b")
     assert 0 <= stable_stream_id("x", 1, 2) < 2**63
+
+
+@pytest.mark.parametrize(
+    "key", [(-1,), (2**63,), (0, 2**63), (0, -1), (2**64,)],
+    ids=["seed-negative", "seed-2**63", "stream-2**63", "stream-negative", "seed-2**64"],
+)
+def test_key_outside_63_bits_is_refused(key):
+    # refused, not folded onto a key in range (5 + 2**63 is not seed 5)
+    with pytest.raises(DomainError, match=r"must lie in \[0, 2\*\*63\)"):
+        RngStream(*key)
+
+
+def test_largest_keys_draw_as_philox_keys():
+    top = 2**63 - 1
+    gen = np.random.Generator(np.random.Philox(key=np.array([top, top], dtype=np.uint64)))
+    assert RngStream(top, top).uniform(4).tobytes() == gen.random(4).tobytes()
 
 
 def test_normal_moments():
