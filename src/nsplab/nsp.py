@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,9 +50,10 @@ solve_lp = solve_l1_synthesis  # the support problems' solver; bench/tracer.py w
 CERT_BUDGET = 10**6      # circuit candidates and minor-table entries, or support problems
 VERDICT_TOL = 1e-9       # the verdict holds iff gamma_star < 1 - VERDICT_TOL
 _CIRCUIT_CHUNK = 2**13   # subset entries per unranking and gather in the circuit route,
-                         # 64 KB per index array, and at least 256 candidates (as many
-                         # as the QR route took) so that long candidates amortize the
-                         # walk's numpy calls
+                         # 64 KB per index array, and at least 256 subsets (as many
+                         # candidates as the QR route took) so that long candidates
+                         # amortize the walk's numpy calls
+_PLAN_CAP = 2**22        # bytes of index plans kept per process; see _chunks
 _CIRCUIT_TRUST = 1e-4    # a circuit candidate of l1 norm below this share of the typical
                          # one is recomputed from its block: minor rounding is absolute
 _ETA_STEP = 1e-2         # estimate_eta: first and largest gradient step
@@ -139,6 +141,7 @@ def _binomials(n, top):
     binom[0] = 1
     for j in range(1, top + 1):
         np.minimum(np.cumsum(binom[j - 1, :-1]), 2**40, out=binom[j, 1:])
+    binom.flags.writeable = False  # plans share it
     return binom
 
 
@@ -146,11 +149,11 @@ def _colex_walk(lo, hi, size, binom):
     """The size-subsets of colex ranks lo, ..., hi-1, and the colex rank of
     each with one element removed.
 
-    Returns S and drop, both (size, hi - lo): column c of S is the subset
-    s_0 < ... < s_{size-1} of rank lo + c, and drop[i, c] is the rank of
-    that subset minus s_i.  The rank is the sum of C(s_j, j+1), so the
-    largest element is the largest v with C(v, size) <= rank, and so on
-    down to s_0 = C(s_0, 1), the rank left.  Removing s_i leaves s_j at
+    Returns S and drop, both (size, hi - lo) and read-only: column c of S
+    is the subset s_0 < ... < s_{size-1} of rank lo + c, and drop[i, c] is
+    the rank of that subset minus s_i.  The rank is the sum of C(s_j, j+1),
+    so the largest element is the largest v with C(v, size) <= rank, and so
+    on down to s_0 = C(s_0, 1), the rank left.  Removing s_i leaves s_j at
     position j for j < i, whose terms sum to the rank left once s_i is
     found, and moves it to position j-1 for j > i, whose terms become
     C(s_j, j).
@@ -167,29 +170,68 @@ def _colex_walk(lo, hi, size, binom):
         moved += binom[j].take(S[j])
     S[0] = rank
     drop[0] = moved
+    S.flags.writeable = drop.flags.writeable = False  # plans share them
     return S, drop
 
 
-def _maximal_minors(M, binom):
+_plans = {}              # n -> binomial table, (n, size) -> chunks, each as (bytes, plan)
+_plans_lock = threading.Lock()
+
+
+def _kept(key, cost, build):
+    """The plan under key, kept there from build() by the first call if all
+    plans then fit _PLAN_CAP bytes; None past the cap, where nothing is built."""
+    with _plans_lock:
+        if key not in _plans:
+            if sum(c for c, _ in _plans.values()) + cost > _PLAN_CAP:
+                return None
+            _plans[key] = cost, build()
+        return _plans[key][1]
+
+
+def _chunks(n, size):
+    """_colex_walk over all size-subsets of [n] in colex order,
+    max(256, _CIRCUIT_CHUNK // size) subsets per (S, drop) chunk.
+
+    The chunks depend on (n, size) alone, never on a matrix, so the first
+    call walks them all and keeps them as the plan of (n, size) for the life
+    of the process; later calls, at any level of any minor table and in any
+    candidate walk of that shape, read the plan.  A plan of size L takes
+    16 L C(n, L) bytes, which within CERT_BUDGET reaches hundreds of MB, so
+    plans (with their binomial tables) are kept only while all of them fit
+    _PLAN_CAP: every 10 x 14 shape, n = 14 at sizes 1 to 11, takes 1.8 MB,
+    and 4 MB is half the minor table that CERT_BUDGET admits.  Past the cap
+    the chunks are walked one at a time and dropped, and the first
+    certificate of a shape always pays for the walk.
+    """
+    binom = _kept(n, 8 * (n + 1) ** 2, lambda: _binomials(n, n))
+    if binom is None:
+        binom = _binomials(n, size)
+    total = int(binom[size, n])
+    step = max(256, _CIRCUIT_CHUNK // size)
+    walk = (_colex_walk(lo, min(lo + step, total), size, binom) for lo in range(0, total, step))
+    plan = _kept((n, size), 2 * size * total * np.dtype(np.intp).itemsize, lambda: tuple(walk))
+    return walk if plan is None else plan
+
+
+def _maximal_minors(M):
     """det M[:, S] for every r-subset S of the n columns of the r x n matrix
-    M, in colex order of S; binom is _binomials(n, top) for some top >= r.
+    M, in colex order of S.
 
     Laplace expansion along the rows, one level per row: level L holds the
     minors of the first L rows, det M[:L, S] = sum over i of
     (-1)^(L-1+i) M[L-1, s_i] det M[:L-1, S minus s_i], L gather-multiply-adds
-    over the C(n, L) subsets, taken _CIRCUIT_CHUNK entries at a time.  Level
-    0 is the empty minor 1, so r = 0 gives [1.0].
+    over the C(n, L) subsets, chunk by chunk of _chunks(n, L).  Level 0 is
+    the empty minor 1, so r = 0 gives [1.0].
     """
     r, n = M.shape
     D = np.ones(1)
     for L in range(1, r + 1):
-        total = int(binom[L, n])
         sign = (-1.0) ** (L - 1 + np.arange(L))
-        step = max(1, _CIRCUIT_CHUNK // L)
-        level = np.empty(total)
-        for lo in range(0, total, step):
-            S, drop = _colex_walk(lo, min(lo + step, total), L, binom)
+        level, lo = np.empty(math.comb(n, L)), 0
+        for S, drop in _chunks(n, L):
             level[lo : lo + S.shape[1]] = sign @ (D.take(drop) * M[L - 1].take(S))
+            lo += S.shape[1]
         D = level
     return D
 
@@ -247,11 +289,11 @@ def _certify_circuits(N, s):
     complementary minor identity det R^T[:, U] = +-(-1)^(sum U)
     det N^T[:, [n] minus U], one sign for all U.  Alternating the signs of
     N^T's columns absorbs (-1)^(sum U), and complements run through the
-    colex order backwards, so rank q of the R^T table is rank
-    C(n, k) - 1 - q of the N^T one.  The walk runs on reflected coordinates
-    j -> n-1-j, where the supports W of the lexicographic Z are the
-    (n-k+1)-subsets in colex order, unranked _CIRCUIT_CHUNK entries at a
-    time, so memory holds the table and one chunk.
+    colex order backwards, so the R^T table is the N^T one reversed.  The
+    walk runs on reflected coordinates j -> n-1-j, where the supports W of
+    the lexicographic Z are the (n-k+1)-subsets in colex order, read chunk
+    by chunk from _chunks(n, n-k+1), so memory holds the table, the plans
+    and at most one chunk beyond them.
 
     Weak candidates.  M = R^T or N^T has orthonormal rows, so by
     Cauchy-Binet the C(n, r) minors have unit sum of squares, and a typical
@@ -279,22 +321,14 @@ def _certify_circuits(N, s):
     """
     n, k = N.shape
     p = n - k
-    binom = _binomials(n, p + 1)
     flip = (-1.0) ** np.arange(n)
-    if k <= p:  # N^T table, read at complement ranks
-        table = _maximal_minors(N[::-1].T * flip, binom)
-        last = table.size - 1
+    if k <= p:  # N^T table, reversed: complement ranks run backwards
+        table = np.ascontiguousarray(_maximal_minors(N[::-1].T * flip)[::-1])
     else:
-        table = _maximal_minors(np.linalg.qr(N[::-1], mode="complete")[0][:, k:].T, binom)
-        last = None
+        table = _maximal_minors(np.linalg.qr(N[::-1], mode="complete")[0][:, k:].T)
     weak = _CIRCUIT_TRUST * (p + 1) / math.sqrt(table.size)
-    total = int(binom[p + 1, n])
-    step = max(256, _CIRCUIT_CHUNK // (p + 1))
     best, best_x, evaluated = -math.inf, None, 0
-    for lo in range(0, total, step):
-        S, drop = _colex_walk(lo, min(lo + step, total), p + 1, binom)
-        if last is not None:
-            np.subtract(last, drop, out=drop)
+    for S, drop in _chunks(n, p + 1):
         X = table.take(drop)  # signed minors; entry i of a candidate is (-1)^i x_{n-1-S[i]}
         a = np.abs(X)
         mass = a.sum(axis=0)

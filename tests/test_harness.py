@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from nsplab import nsp
 from nsplab.dictionary import make_dictionary
 from nsplab.errors import DomainError, NspRequiredError
 from nsplab.harness import (
@@ -149,7 +150,9 @@ class TestConfig:
 
 
 class TestPreserve:
-    def test_deterministic_rerun(self):
+    def test_deterministic_rerun(self, monkeypatch):
+        # the first run builds the index plans, the second reads them
+        monkeypatch.setattr(nsp, "_plans", {})
         text1 = run_preserve_nsp(preserve_cfg())
         text2 = run_preserve_nsp(preserve_cfg())
         assert text1.splitlines()[0].startswith("# generated")

@@ -9,10 +9,15 @@ from nsplab.dictionary import make_dictionary
 from nsplab import nsp as nsp_module
 from nsplab.errors import BudgetExceededError
 from nsplab.nsp import (
+    CERT_BUDGET,
     VERDICT_TOL,
     SgammaParams,
+    _CIRCUIT_CHUNK,
+    _PLAN_CAP,
     _binomials,
     _certify_lp,
+    _chunks,
+    _colex_walk,
     _maximal_minors,
     certificate_to_json,
     certify_nsp,
@@ -284,6 +289,28 @@ class TestCircuitsVsLp:
                 assert_same_gamma(circ.gamma_star, lp.gamma_star)
 
 
+def qr_oracle_matrices(trials=120):
+    """Integer entries and Gaussian ones; every third matrix repeats a
+    column, every fourth ends in one or two zero columns, every fifth has
+    near-duplicate column pairs (1e-6 apart), every tenth is zero (k = n)."""
+    rng = RngStream(47)
+    for trial in range(trials):
+        sub = rng.substream(trial)
+        n = int(sub.integers(3, 10))
+        m = int(sub.integers(1, n))
+        A = sub.integers(-2, 3, (m, n)).astype(float) if trial % 2 else sub.normal((m, n))
+        if trial % 5 == 2:
+            q = min(n // 2, 2)
+            A[:, 1 : 2 * q : 2] = A[:, 0 : 2 * q : 2] + 1e-6 * sub.normal((m, q))
+        if trial % 3 == 0:
+            A = np.column_stack([A, A[:, 0]])
+        if trial % 4 == 0:
+            A = np.column_stack([A, np.zeros((m, 1 + trial % 8 // 4))])
+        if trial % 10 == 5:
+            A = np.zeros((1, n))
+        yield A
+
+
 class TestCircuitCandidates:
     def test_candidate_order(self):
         # the first (k-1)-subset is (0, 1, 2), and the candidate vanishing on it is e_3
@@ -314,17 +341,14 @@ class TestCircuitCandidates:
         }
         colex = sorted(itertools.combinations(range(n), r), key=lambda S: S[::-1])
         for name, M in cases.items():
-            table = _maximal_minors(M, _binomials(n, r))
+            table = _maximal_minors(M)
             want = [np.linalg.det(M[:, list(S)]) if r else 1.0 for S in colex]
             np.testing.assert_allclose(table, want, rtol=0, atol=1e-13, err_msg=name)
 
     @pytest.mark.parametrize("recompute", ["weak", "all"])
     def test_matches_qr_oracle(self, monkeypatch, recompute):
-        # integer entries and Gaussian ones; every third matrix repeats a
-        # column, every fourth ends in one or two zero columns, every fifth
-        # has near-duplicate column pairs (1e-6 apart), every tenth is zero
-        # (k = n); the table comes from N^T or R^T, and the oracle runs on
-        # either side.  "all" recomputes every candidate from its block.
+        # the table comes from N^T or R^T, and the oracle runs on either
+        # side.  "all" recomputes every candidate from its block.
         recomputed = []
         block_null_vectors = nsp_module._block_null_vectors
         monkeypatch.setattr(
@@ -333,22 +357,8 @@ class TestCircuitCandidates:
         )
         if recompute == "all":
             monkeypatch.setattr(nsp_module, "_CIRCUIT_TRUST", math.inf)
-        rng = RngStream(47)
         sides, ends = set(), set()
-        for trial in range(120):
-            sub = rng.substream(trial)
-            n = int(sub.integers(3, 10))
-            m = int(sub.integers(1, n))
-            A = sub.integers(-2, 3, (m, n)).astype(float) if trial % 2 else sub.normal((m, n))
-            if trial % 5 == 2:
-                q = min(n // 2, 2)
-                A[:, 1 : 2 * q : 2] = A[:, 0 : 2 * q : 2] + 1e-6 * sub.normal((m, q))
-            if trial % 3 == 0:
-                A = np.column_stack([A, A[:, 0]])
-            if trial % 4 == 0:
-                A = np.column_stack([A, np.zeros((m, 1 + trial % 8 // 4))])
-            if trial % 10 == 5:
-                A = np.zeros((1, n))
+        for trial, A in enumerate(qr_oracle_matrices()):
             N = kernel_basis(A)
             n, k = N.shape
             if k == 0:
@@ -397,6 +407,108 @@ class TestCircuitCandidates:
             tracemalloc.stop()
         assert cert.method == "circuits" and cert.evaluated == 167_960
         assert peak <= 5 * 2**20
+
+
+def certificate_bits(cert):
+    return (
+        repr(cert.gamma_star), cert.verdict, cert.witness_support,
+        None if cert.witness is None else cert.witness.tobytes(), cert.method, cert.evaluated,
+    )
+
+
+def circuit_sizes(n, k):
+    """The subset sizes a circuit certificate of an n-column matrix with a
+    k-dimensional kernel reads plans at: the table's levels and the walk."""
+    r, p = min(k, n - k), n - k
+    return (*range(1, r + 1), p + 1)
+
+
+@pytest.fixture
+def no_plans(monkeypatch):
+    """A process with no plans kept yet."""
+    monkeypatch.setattr(nsp_module, "_plans", {})
+
+
+class TestPlans:
+    """Index plans per (n, subset size): the colex walk's chunks, kept read-only."""
+
+    @pytest.mark.parametrize("n, size", [(1, 1), (5, 2), (14, 1), (14, 5), (14, 7), (14, 11), (20, 5), (9, 9)])
+    def test_plan_is_the_walk(self, no_plans, n, size):
+        # C(14, 7) = 3432 in chunks of 1170 ends ragged; C(20, 5) = 15504 takes
+        # ten chunks of 1638; C(5, 2) = 10 is below one chunk
+        binom = _binomials(n, size)
+        total, step = math.comb(n, size), max(1, _CIRCUIT_CHUNK // size)
+        want = [_colex_walk(lo, min(lo + step, total), size, binom) for lo in range(0, total, step)]
+        plan = _chunks(n, size)
+        assert isinstance(plan, tuple) and _chunks(n, size) is plan
+        assert [S.shape[1] for S, _ in plan] == [S.shape[1] for S, _ in want]
+        for (S, drop), (S0, drop0) in zip(plan, want):
+            np.testing.assert_array_equal(S, S0)
+            np.testing.assert_array_equal(drop, drop0)
+            for a in (S, drop):
+                with pytest.raises(ValueError):
+                    a[0, 0] = 0
+        with pytest.raises(ValueError):
+            nsp_module._plans[n][1][0, 0] = 0  # the binomial table
+
+    @pytest.mark.parametrize("n, k", [(6, 1), (8, 3), (8, 6), (14, 4), (14, 8), (14, 10)])
+    def test_certificate_reads_plans_at_every_level_and_the_walk(self, no_plans, n, k):
+        A = RngStream(49).substream(n, k).normal((n - k, n))
+        certify_nsp(A, 1)
+        assert set(nsp_module._plans) == {n} | {(n, size) for size in circuit_sizes(n, k)}
+
+    @pytest.mark.parametrize("recompute", ["weak", "all"])
+    def test_cold_warm_and_walked_certificates_agree_bit_for_bit(self, monkeypatch, recompute):
+        # the shapes of test_matches_qr_oracle: both table sides, repeated and
+        # zero columns, and the infinite-ratio exit
+        if recompute == "all":
+            monkeypatch.setattr(nsp_module, "_CIRCUIT_TRUST", math.inf)
+        infinite = 0
+        for A in qr_oracle_matrices(60):
+            for s in range(1, min(3, A.shape[1]) + 1):
+                monkeypatch.setattr(nsp_module, "_plans", {})
+                cold = certificate_bits(certify_nsp(A, s))
+                warm = certificate_bits(certify_nsp(A, s))
+                # no room for a plan: every chunk is walked and dropped
+                monkeypatch.setattr(nsp_module, "_plans", {"full": (_PLAN_CAP, None)})
+                walked = certificate_bits(certify_nsp(A, s))
+                assert nsp_module._plans.keys() == {"full"}
+                assert cold == warm == walked
+                infinite += cold[0] == "inf"
+        assert infinite
+
+    def test_walk_past_the_cap(self, no_plans):
+        # C(20, 11) 11 walk entries take 29.6 MB, past the cap; the C(20, 10)
+        # minor table's levels 6 to 10 do not fit either
+        A = RngStream(48).normal((10, 20))
+        cold = certify_nsp(A, 2)
+        assert set(nsp_module._plans) == {20, (20, 1), (20, 2), (20, 3), (20, 4), (20, 5)}
+        N = kernel_basis(A)
+        gamma, _, _, evaluated = circuit_qr_oracle(N, 2)
+        assert_same_gamma(cold.gamma_star, gamma)
+        assert cold.evaluated == evaluated == 167_960
+        nsp_module._plans.clear()
+        nsp_module._plans["full"] = (_PLAN_CAP, None)
+        assert certificate_bits(certify_nsp(A, 2)) == certificate_bits(cold)
+        assert nsp_module._plans.keys() == {"full"}
+
+    def test_plans_stay_under_the_cap(self, no_plans):
+        # every shape that the budget admits up to n = 20, smallest n first
+        for n in range(2, 21):
+            sizes = set()
+            for k in range(1, n):
+                if max(math.comb(n, k - 1), math.comb(n, min(k, n - k))) <= CERT_BUDGET:
+                    sizes.update(circuit_sizes(n, k))
+            for size in sorted(sizes):
+                for _ in _chunks(n, size):
+                    pass
+        held = 0
+        for key, (cost, value) in nsp_module._plans.items():
+            arrays = [value] if isinstance(key, int) else [a for chunk in value for a in chunk]
+            assert cost == sum(a.nbytes for a in arrays)
+            held += cost
+        assert (20, 11) not in nsp_module._plans
+        assert held <= _PLAN_CAP
 
 
 # Phi @ D of the preserve campaign with config seed 14011, m = 6, trial 1.
