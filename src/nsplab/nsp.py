@@ -49,10 +49,10 @@ solve_lp = solve_l1_synthesis  # the support problems' solver; bench/tracer.py w
 
 CERT_BUDGET = 10**6      # circuit candidates and minor-table entries, or support problems
 VERDICT_TOL = 1e-9       # the verdict holds iff gamma_star < 1 - VERDICT_TOL
-_CIRCUIT_CHUNK = 2**13   # subset entries per unranking and gather in the circuit route,
-                         # 64 KB per index array, and at least 256 subsets (as many
-                         # candidates as the QR route took) so that long candidates
-                         # amortize the walk's numpy calls
+_CIRCUIT_CHUNK = 2**13   # subset entries per unranking and gather in the circuit route
+                         # (64 KB per index array; at least 256 subsets). preserve wall
+                         # time against 2**13 (2-vCPU x86-64): 2**11 +30%, 2**12 +10%,
+                         # and a flat optimum 5-7% lower, same rows, at 2**15-2**18
 _PLAN_CAP = 2**22        # bytes of index plans kept per process; see _chunks
 _CIRCUIT_TRUST = 1e-4    # a circuit candidate of l1 norm below this share of the typical
                          # one is recomputed from its block: minor rounding is absolute

@@ -2,9 +2,10 @@
 
 Nothing in nsplab calls these: each one recomputes a quantity by a second
 route (quadrature, sampling, Dykstra, a grid, high precision, QR null
-vectors) or checks one of the paper's lemmas empirically.  The checks return
-plain tuples; each test writes out the inequality it asserts.  The text
-writers make the input files the CLI tests read; best_s_term_error,
+vectors, the cone multiplier's longer closed form) or checks one of the
+paper's lemmas empirically.  The checks return plain tuples; each test
+writes out the inequality it asserts.  The text writers make the input
+files the CLI tests read; best_s_term_error,
 project_cone_batch and csv_body are helpers that only the tests call.
 in_S_gamma decides membership in the violating set for the estimate_eta
 tests, and mendelson_lower_bound is the small-ball bound from which the
@@ -360,6 +361,36 @@ def project_cone_batch(Hstar, p: SgammaParams) -> np.ndarray:
     the package's draw-major routine, one row per input row.  Refuses s > n."""
     X = np.atleast_2d(np.asarray(Hstar, dtype=float)).T.copy()
     return nsplab.width._project_draw_major(X, p).T.copy()
+
+
+def project_draw_major_min_over_q(X, p: SgammaParams) -> np.ndarray:
+    """Reference for width._project_draw_major: the longer closed form
+
+        lam* = max(0, min_q max_{(q,r) != (0,0)} (gamma T_r - H_q) / (q + r gamma^2))
+
+    over every head length q = 0..s, with H_q the sum of the first q head
+    entries.  Its q < s rows never bind, and the one-row form must give the
+    same bytes.  Same argument and return, same refusal of s > n.
+    """
+    s, n, gamma = p.s, X.shape[0], p.gamma
+    if s > n:
+        raise DomainError(f"s = {s} exceeds the row length n = {n}")
+    lam = np.zeros(X.shape[1])
+    if s < n:
+        Hq = nsplab.width._prefix_sums(X[:s])
+        gT = nsplab.width._prefix_sums(X[s:])
+        gT *= gamma
+        r = np.arange(n - s + 1)[:, None]
+        np.max(gT[1:] / (r[1:] * gamma**2), axis=0, out=lam)  # q = 0; (0, 0) asks nothing
+        ratio = np.empty_like(gT)
+        for q in range(1, s + 1):
+            np.subtract(gT, Hq[q], out=ratio)
+            ratio /= q + r * gamma**2
+            np.minimum(lam, ratio.max(axis=0), out=lam)
+        np.maximum(lam, 0.0, out=lam)
+    X[:s] += lam
+    X[s:] -= gamma * lam
+    return np.maximum(X, 0.0, out=X)
 
 
 def dykstra_projection(H, p: SgammaParams, tol=1e-13, max_sweeps=1_000_000):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import nsplab.width
 from nsplab import nsp
 from nsplab.dictionary import make_dictionary
 from nsplab.errors import DomainError, NspRequiredError
@@ -18,7 +19,7 @@ from nsplab.harness import (
 from nsplab.nsp import certify_nsp
 from nsplab.rng import RngStream, stable_stream_id
 from nsplab.subgaussian import make_spec, sample_measurement_matrix
-from oracles import csv_body
+from oracles import csv_body, project_draw_major_min_over_q
 
 
 def parse_csv(text):
@@ -250,6 +251,15 @@ class TestWidthCompare:
         _, rows = parse_csv(run_width_compare(cfg))
         for r in rows:
             assert float(r[9]) >= float(r[8])  # sqrt(n) crude bound is larger
+
+    def test_csv_body_equals_the_min_over_q_projection(self, monkeypatch):
+        cfg = ExperimentConfig(
+            experiment="width_compare", d=4, n=14, s=1, gamma=0.5, seed=18,
+            trials=3000, n_grid=(5, 14), s_grid=(1, 3), gamma_grid=(0.1, 1.0),
+        )
+        body = csv_body(run_width_compare(cfg))
+        monkeypatch.setattr(nsplab.width, "_project_draw_major", project_draw_major_min_over_q)
+        assert csv_body(run_width_compare(cfg)) == body
 
     def test_run_experiment_dispatch(self):
         cfg = ExperimentConfig(

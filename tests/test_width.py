@@ -24,6 +24,7 @@ from oracles import (
     cone_normal,
     dykstra_projection,
     project_cone_batch,
+    project_draw_major_min_over_q,
     record_projection_calls,
     soft_moment_quadrature,
 )
@@ -107,6 +108,23 @@ class TestProjection:
             V = V * (sub.uniform((V.shape[0], 1)) * 3.0)  # feasible points of any radius
             dists = np.linalg.norm(V - h, axis=1)
             assert np.linalg.norm(h - u) <= dists.min() + 1e-7
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 14, 29, 56])
+    def test_one_binding_row_has_the_bits_of_the_min_over_q(self, n):
+        rng = RngStream(71, n)
+        H = rng.normal((60, n)) * 10.0 ** (6.0 * rng.uniform((60, 1)) - 3.0)
+        H[::4, ::3] = 0.0                          # zeros inside rows
+        H[1::4] = np.round(H[1::4] * 2.0) / 2.0    # ties, and zeros where |h| < 1/4
+        H[2::4, n // 2 :] = H[2::4, :1]            # a run of one magnitude
+        H[3] = 0.0
+        H[7] = 1.0
+        Hstar = nonincreasing_rearrangement(H)
+        for s in range(1, n + 1):
+            for gamma in (0.1, 0.5, 0.9, 1.0):
+                c = SgammaParams(gamma, s)
+                got = project_cone_batch(Hstar, c)
+                want = project_draw_major_min_over_q(Hstar.T.copy(), c).T
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes(), (s, gamma)
 
     def test_sup_identity_versus_direct_sampling(self):
         # sup over K cap sphere of <h*, u> equals the projection norm; checked
