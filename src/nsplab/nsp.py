@@ -15,7 +15,7 @@ maximal minors of the kernel basis, so one table of the C(n, k) minors,
 built by Laplace expansion from whichever side of the kernel has fewer
 rows, serves them all.
 When the C(n, k-1) candidates or the C(n, min(k, n-k)) entries of that
-table exceed the budget, the LP route runs instead if its
+table exceed CERT_BUDGET, the LP route runs instead if its
 C(n, s) 2^(s-1) support problems fit: for each support and sign pattern,
 the largest signed head mass of a kernel vector with unit tail mass.  Each
 is solved as basis pursuit by the l1 homotopy of the solver module, the
@@ -141,7 +141,6 @@ def _binomials(n, top):
     binom[0] = 1
     for j in range(1, top + 1):
         np.minimum(np.cumsum(binom[j - 1, :-1]), 2**40, out=binom[j, 1:])
-    binom.flags.writeable = False  # plans share it
     return binom
 
 
@@ -174,19 +173,8 @@ def _colex_walk(lo, hi, size, binom):
     return S, drop
 
 
-_plans = {}              # n -> binomial table, (n, size) -> chunks, each as (bytes, plan)
+_plans = {}              # (n, size) -> (bytes, chunks)
 _plans_lock = threading.Lock()
-
-
-def _kept(key, cost, build):
-    """The plan under key, kept there from build() by the first call if all
-    plans then fit _PLAN_CAP bytes; None past the cap, where nothing is built."""
-    with _plans_lock:
-        if key not in _plans:
-            if sum(c for c, _ in _plans.values()) + cost > _PLAN_CAP:
-                return None
-            _plans[key] = cost, build()
-        return _plans[key][1]
 
 
 def _chunks(n, size):
@@ -198,20 +186,24 @@ def _chunks(n, size):
     of the process; later calls, at any level of any minor table and in any
     candidate walk of that shape, read the plan.  A plan of size L takes
     16 L C(n, L) bytes, which within CERT_BUDGET reaches hundreds of MB, so
-    plans (with their binomial tables) are kept only while all of them fit
-    _PLAN_CAP: every 10 x 14 shape, n = 14 at sizes 1 to 11, takes 1.8 MB,
-    and 4 MB is half the minor table that CERT_BUDGET admits.  Past the cap
-    the chunks are walked one at a time and dropped, and the first
-    certificate of a shape always pays for the walk.
+    plans are kept only while all of them fit _PLAN_CAP: every 10 x 14
+    shape, n = 14 at sizes 1 to 11, takes 1.8 MB, and 4 MB is half the minor
+    table that CERT_BUDGET admits.  Past the cap the chunks are walked one
+    at a time and dropped, and the first certificate of a shape always pays
+    for the walk.  The walk's binomial table is built for it and dropped.
     """
-    binom = _kept(n, 8 * (n + 1) ** 2, lambda: _binomials(n, n))
-    if binom is None:
+    with _plans_lock:
+        if (n, size) in _plans:
+            return _plans[n, size][1]
+        total = math.comb(n, size)
+        step = max(256, _CIRCUIT_CHUNK // size)
         binom = _binomials(n, size)
-    total = int(binom[size, n])
-    step = max(256, _CIRCUIT_CHUNK // size)
-    walk = (_colex_walk(lo, min(lo + step, total), size, binom) for lo in range(0, total, step))
-    plan = _kept((n, size), 2 * size * total * np.dtype(np.intp).itemsize, lambda: tuple(walk))
-    return walk if plan is None else plan
+        walk = (_colex_walk(lo, min(lo + step, total), size, binom) for lo in range(0, total, step))
+        cost = 2 * size * total * np.dtype(np.intp).itemsize
+        if sum(c for c, _ in _plans.values()) + cost > _PLAN_CAP:
+            return walk
+        _plans[n, size] = cost, tuple(walk)
+        return _plans[n, size][1]
 
 
 def _maximal_minors(M):
@@ -380,7 +372,7 @@ def _certify_lp(N, s):
     return best, best_T, best_x, evaluated
 
 
-def certify_nsp(A, s: int, budget: int = CERT_BUDGET) -> NspCertificate:
+def certify_nsp(A, s: int) -> NspCertificate:
     """Exact stable-NSP certificate for A at sparsity s.
 
     gamma_star is the supremum of ||x_T||_1 / ||x_{T^c}||_1 over nonzero
@@ -388,11 +380,12 @@ def certify_nsp(A, s: int, budget: int = CERT_BUDGET) -> NspCertificate:
     gamma_star < 1 - VERDICT_TOL.  The NSP at another level gamma, or with
     another margin, is the comparison gamma_star < gamma.
     The circuit route runs when its C(n, k-1) candidates and the C(n, r)
-    entries of its minor table, r = min(k, n-k), both fit the budget (k the
+    entries of its minor table, r = min(k, n-k), both fit CERT_BUDGET (k the
     kernel dimension).  Since C(n, k-1) (n-k+1) = k C(n, k), its walk then
-    reads at most (r+1) budget minors, and the table takes at most 8 budget
-    bytes.  Else the LP route runs when its C(n, s) 2^(s-1) support problems
-    fit the budget; past both, BudgetExceededError.  A support problem
+    reads at most (r+1) CERT_BUDGET minors, and the table takes at most
+    8 CERT_BUDGET bytes.  Else the LP route runs when its C(n, s) 2^(s-1)
+    support problems fit CERT_BUDGET; past both, BudgetExceededError.  The
+    matrix alone selects the route.  A support problem
     whose solve is not certified raises LpSolveError.  The witness is a
     kernel vector with unit tail mass and head mass gamma_star on
     witness_support, or, when gamma_star is infinite, a kernel vector
@@ -409,17 +402,16 @@ def certify_nsp(A, s: int, budget: int = CERT_BUDGET) -> NspCertificate:
     circuits = math.comb(n, k - 1)
     minors = math.comb(n, min(k, n - k))
     lps = math.comb(n, s) * 2 ** (s - 1)
-    if max(circuits, minors) <= budget:
+    if max(circuits, minors) <= CERT_BUDGET:
         method = "circuits"
         gamma_star, T, witness, evaluated = _certify_circuits(N, s)
-    elif lps <= budget:
+    elif lps <= CERT_BUDGET:
         method = "lp"
         gamma_star, T, witness, evaluated = _certify_lp(N, s)
     else:
         raise BudgetExceededError(
             f"certification needs {circuits} circuit candidates over {minors} minors "
-            f"or {lps} LPs, "
-            f"budget is {budget}"
+            f"or {lps} LPs, budget is {CERT_BUDGET}"
         )
     verdict = "holds" if gamma_star < 1.0 - VERDICT_TOL else "fails"
     return NspCertificate(gamma_star, verdict, s, T, witness, method, evaluated)

@@ -23,7 +23,7 @@ def _load_tracer():
     return module
 
 
-def test_tracer_records_solver_spans():
+def test_tracer_records_solver_spans(monkeypatch):
     tracer_module = _load_tracer()
     tracer = tracer_module.Tracer()
     tracer.install()
@@ -33,8 +33,9 @@ def test_tracer_records_solver_spans():
             m_grid=(6,), trials=1,
         )
         run_phase_transition(cfg)
-        # C(6, 3) = 20 circuit candidates exceed the budget; C(6, 1) = 6 LPs fit it
-        cert = nsplab.nsp.certify_nsp(RngStream(5).normal((2, 6)), 1, budget=10)
+        # C(6, 3) = 20 circuit candidates exceed a budget of 10; C(6, 1) = 6 LPs fit it
+        monkeypatch.setattr(nsplab.nsp, "CERT_BUDGET", 10)
+        cert = nsplab.nsp.certify_nsp(RngStream(5).normal((2, 6)), 1)
     finally:
         tracer.uninstall()
     assert (cert.method, cert.evaluated) == ("lp", 6)

@@ -132,6 +132,32 @@ def test_recover_roundtrip(tmp_path, capsys):
     assert payload["err_x"] < 1e-6
 
 
+def test_recover_reads_a_column_vector_like_a_row(tmp_path, capsys):
+    B = RngStream(6).normal((4, 7))
+    y = RngStream(7).normal(4)
+    write_matrix_text(tmp_path / "B.txt", B)
+    write_vector_text(tmp_path / "row.txt", y)
+    write_matrix_text(tmp_path / "col.txt", y[:, None])
+    outs = []
+    for name in ("row.txt", "col.txt"):
+        code, out, _ = run_cli(capsys, "recover", "--B", str(tmp_path / "B.txt"), "--y", str(tmp_path / name))
+        assert code == 0
+        outs.append(out)
+    assert outs[1] == outs[0]
+    assert json.loads(outs[0])["status"] == "converged"
+
+
+def test_recover_y_of_two_rows_and_columns_exits_1(tmp_path, capsys):
+    write_matrix_text(tmp_path / "B.txt", np.eye(2))
+    write_matrix_text(tmp_path / "y.txt", np.eye(2))
+    code, out, err = run_cli(
+        capsys, "recover", "--B", str(tmp_path / "B.txt"), "--y", str(tmp_path / "y.txt"),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "single row or column" in err and err.count("\n") == 1
+
+
 def test_recover_x0_length_mismatch_exits_1(tmp_path, capsys):
     # refused before the subtraction, which would fail in numpy or broadcast
     y = np.arange(10.0)
@@ -339,6 +365,15 @@ def test_config_value_out_of_range_exits_1(tmp_path, capsys, key, value):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: config key '{key}'") and err.count("\n") == 1
+
+
+def test_empty_m_grid_exits_1(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**PRESERVE_CFG, "m_grid": []}))
+    code, out, err = run_cli(capsys, "preserve", "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "nonempty m_grid" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -58,6 +58,18 @@ def test_trial_rows_do_not_depend_on_the_rest_of_the_grid(runner, over):
     assert want == [ln for ln in large[2:] if ln.split(",")[:2] in (["6", "0"], ["6", "1"])]
 
 
+@pytest.mark.parametrize(
+    "runner, over",
+    [(run_preserve_nsp, {}), (run_phase_transition, {"experiment": "phase_transition", "eps": 0.01})],
+    ids=["preserve", "phase"],
+)
+def test_empty_m_grid_is_refused(runner, over):
+    # a config may leave m_grid out (width_compare has none); a campaign over m
+    # refuses it before building a matrix, in place of a CSV with no rows
+    with pytest.raises(DomainError, match="needs a nonempty m_grid"):
+        runner(preserve_cfg(m_grid=(), **over))
+
+
 def test_preserve_trial_draws_phi_first_from_its_stream():
     cfg = preserve_cfg()
     D = make_dictionary(

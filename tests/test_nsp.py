@@ -111,18 +111,19 @@ class TestCertify:
         with pytest.raises(BudgetExceededError):
             certify_nsp(RngStream(50).normal((180, 183)), 3)
 
-    def test_minor_table_counts_against_budget(self):
+    def test_minor_table_counts_against_budget(self, monkeypatch):
         # k = 2 in n = 30: C(30, 1) = 30 candidates over C(30, 2) = 435 minors
         A = RngStream(49).normal((28, 30))
         circ = certify_nsp(A, 1)
         assert (circ.method, circ.evaluated) == ("circuits", 30)
-        lp = certify_nsp(A, 1, budget=100)
+        monkeypatch.setattr(nsp_module, "CERT_BUDGET", 100)
+        lp = certify_nsp(A, 1)
         assert (lp.method, lp.evaluated) == ("lp", 30)
         assert_same_gamma(lp.gamma_star, circ.gamma_star)
-        with pytest.raises(BudgetExceededError):
-            certify_nsp(A, 2, budget=100)  # C(30, 2) * 2 = 870 LPs
+        with pytest.raises(BudgetExceededError, match="budget is 100$"):
+            certify_nsp(A, 2)  # C(30, 2) * 2 = 870 LPs
 
-    def test_matches_sampling_oracle(self):
+    def test_sampling_oracle_is_a_close_lower_bound(self):
         rng = RngStream(22)
         for trial in range(25):
             sub = rng.substream(trial)
@@ -181,6 +182,14 @@ class TestCertify:
 
 def lp_gamma_star(A, s):
     return _certify_lp(kernel_basis(np.asarray(A, float)), s)[0]
+
+
+def certify_on_lp_route(A, s, budget):
+    """certify_nsp(A, s) with CERT_BUDGET at budget, which selects the LP
+    route when the circuit route's counts exceed it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nsp_module, "CERT_BUDGET", budget)
+        return certify_nsp(A, s)
 
 
 def assert_same_gamma(got, want):
@@ -262,7 +271,7 @@ class TestCircuitsVsLp:
         for s, lps in ((1, 8), (2, 56)):
             circ = certify_nsp(A, s)
             assert circ.method == "circuits" and circ.evaluated == 70
-            lp = certify_nsp(A, s, budget=lps)
+            lp = certify_on_lp_route(A, s, lps)
             assert lp.method == "lp" and lp.evaluated == lps
             assert lp.gamma_star == pytest.approx(circ.gamma_star, abs=1e-9)
             assert lp.verdict == circ.verdict
@@ -283,7 +292,7 @@ class TestCircuitsVsLp:
                 lps = math.comb(n, s) * 2 ** (s - 1)
                 if lps >= circuits:
                     continue
-                circ, lp = certify_nsp(A, s), certify_nsp(A, s, budget=lps)
+                circ, lp = certify_nsp(A, s), certify_on_lp_route(A, s, lps)
                 assert (circ.method, circ.evaluated) == ("circuits", circuits)
                 assert (lp.method, lp.evaluated) == ("lp", lps)
                 assert_same_gamma(circ.gamma_star, lp.gamma_star)
@@ -437,7 +446,7 @@ class TestPlans:
         # C(14, 7) = 3432 in chunks of 1170 ends ragged; C(20, 5) = 15504 takes
         # ten chunks of 1638; C(5, 2) = 10 is below one chunk
         binom = _binomials(n, size)
-        total, step = math.comb(n, size), max(1, _CIRCUIT_CHUNK // size)
+        total, step = math.comb(n, size), max(256, _CIRCUIT_CHUNK // size)
         want = [_colex_walk(lo, min(lo + step, total), size, binom) for lo in range(0, total, step)]
         plan = _chunks(n, size)
         assert isinstance(plan, tuple) and _chunks(n, size) is plan
@@ -448,14 +457,13 @@ class TestPlans:
             for a in (S, drop):
                 with pytest.raises(ValueError):
                     a[0, 0] = 0
-        with pytest.raises(ValueError):
-            nsp_module._plans[n][1][0, 0] = 0  # the binomial table
+        assert set(nsp_module._plans) == {(n, size)}
 
     @pytest.mark.parametrize("n, k", [(6, 1), (8, 3), (8, 6), (14, 4), (14, 8), (14, 10)])
     def test_certificate_reads_plans_at_every_level_and_the_walk(self, no_plans, n, k):
         A = RngStream(49).substream(n, k).normal((n - k, n))
         certify_nsp(A, 1)
-        assert set(nsp_module._plans) == {n} | {(n, size) for size in circuit_sizes(n, k)}
+        assert set(nsp_module._plans) == {(n, size) for size in circuit_sizes(n, k)}
 
     @pytest.mark.parametrize("recompute", ["weak", "all"])
     def test_cold_warm_and_walked_certificates_agree_bit_for_bit(self, monkeypatch, recompute):
@@ -482,7 +490,7 @@ class TestPlans:
         # minor table's levels 6 to 10 do not fit either
         A = RngStream(48).normal((10, 20))
         cold = certify_nsp(A, 2)
-        assert set(nsp_module._plans) == {20, (20, 1), (20, 2), (20, 3), (20, 4), (20, 5)}
+        assert set(nsp_module._plans) == {(20, 1), (20, 2), (20, 3), (20, 4), (20, 5)}
         N = kernel_basis(A)
         gamma, _, _, evaluated = circuit_qr_oracle(N, 2)
         assert_same_gamma(cold.gamma_star, gamma)
@@ -503,9 +511,8 @@ class TestPlans:
                 for _ in _chunks(n, size):
                     pass
         held = 0
-        for key, (cost, value) in nsp_module._plans.items():
-            arrays = [value] if isinstance(key, int) else [a for chunk in value for a in chunk]
-            assert cost == sum(a.nbytes for a in arrays)
+        for cost, chunks in nsp_module._plans.values():
+            assert cost == sum(a.nbytes for chunk in chunks for a in chunk)
             held += cost
         assert (20, 11) not in nsp_module._plans
         assert held <= _PLAN_CAP

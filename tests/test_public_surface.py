@@ -57,7 +57,7 @@ def test_config_keys():
 
 
 def test_certificate_surface():
-    assert list(inspect.signature(nsplab.certify_nsp).parameters) == ["A", "s", "budget"]
+    assert list(inspect.signature(nsplab.certify_nsp).parameters) == ["A", "s"]
     assert [f.name for f in dataclasses.fields(nsplab.NspCertificate)] == [
         "gamma_star", "verdict", "s", "witness_support", "witness", "method", "evaluated",
     ]
