@@ -2,8 +2,8 @@
 
 Nothing in nsplab calls these: each one recomputes a quantity by a second
 route (quadrature, sampling, Dykstra, a grid, high precision, QR null
-vectors, the cone multiplier's longer closed form) or checks one of the
-paper's lemmas empirically.  The checks return plain tuples; each test
+vectors, the cone multiplier's longer closed form, the homotopy on a fresh
+QR per path step) or checks one of the paper's lemmas empirically.  The checks return plain tuples; each test
 writes out the inequality it asserts.  The text writers make the input
 files the CLI tests read; best_s_term_error,
 project_cone_batch and csv_body are helpers that only the tests call.
@@ -22,6 +22,7 @@ import pytest
 
 import nsplab.width
 from nsplab.errors import DomainError
+from nsplab.solver import _LAM_FLOOR, _SPAN_TOL, RecoveryResult, _kkt_holds
 from nsplab.nsp import SgammaParams
 from nsplab.numerics import (
     RANK_TOL,
@@ -306,6 +307,100 @@ def support_lp_oracle(N, T, signs) -> float:
         return math.inf
     assert res.status == 0, res.message
     return float(-res.fun)
+
+
+def solve_l1_synthesis_qr(B, y, eps=0.0) -> RecoveryResult:
+    """Reference for solver.solve_l1_synthesis: the same LASSO homotopy on a
+    fresh QR of the active columns and three LU solves per path step.
+
+    The span test, the tie rule, _LAM_FLOOR, the 4 n cap and _kkt_holds are
+    the solver's; the no-rejoin ban lasts one step here, and the solver's
+    lasts while lam stays put.  Where lam moves on every step, the two take
+    the same steps to the same status, with x_hat equal to a tolerance set
+    from the dtype.
+    """
+    B = as_matrix(B)
+    y = as_vector(y)
+    if y.size != B.shape[0]:
+        raise DomainError(f"y has length {y.size}, B has {B.shape[0]} rows")
+    if not eps >= 0.0:
+        raise DomainError(f"eps must be nonnegative, got {eps}")
+    m, n = B.shape
+    # Unreachable measurement ball: compare eps with the distance to range(B).
+    fit, *_ = np.linalg.lstsq(B, y, rcond=None)
+    dist = float(np.linalg.norm(y - B @ fit))
+    if dist > eps + 1e-7 * max(1.0, float(np.linalg.norm(y))) + 1e-9:
+        return RecoveryResult(None, None, None, 0, "infeasible")
+
+    x = np.zeros(n)
+    v = np.zeros(m)
+    steps = 0
+    c = B.T @ y
+    lam0 = lam = float(np.abs(c).max(initial=0.0))
+    if float(np.linalg.norm(y)) > eps and lam0 > 0.0:
+        j = int(np.argmax(np.abs(c)))
+        active, signs = [j], [math.copysign(1.0, c[j])]
+        col_norms = np.linalg.norm(B, axis=0)
+        left, left_sign = -1, 0.0
+        while True:
+            steps += 1
+            sigma = np.array(signs)
+            Q, R = np.linalg.qr(B[:, active])
+            z = Q.T @ y
+            x_ls = np.linalg.solve(R, z)
+            w = np.linalg.solve(R.T, sigma)
+            d = np.linalg.solve(R, w)
+            u = Q @ w                      # B_A d
+            r_ls = y - Q @ z
+            p, a = B.T @ r_ls, B.T @ u     # correlations c(lam') = p + lam' a
+
+            # joins at c_j(lam') = +lam' or -lam', leaves at x_i(lam') = 0
+            free = np.linalg.norm(B - Q @ (Q.T @ B), axis=0) > _SPAN_TOL * col_norms
+            free[active] = False
+            with np.errstate(divide="ignore", invalid="ignore"):
+                up = np.where(free & (a < 1.0), p / (1.0 - a), -1.0)
+                down = np.where(free & (a > -1.0), -p / (1.0 + a), -1.0)
+                drop = np.where(sigma * d < 0.0, x_ls / d, -1.0)
+            if left >= 0:  # it sits on that side at lam; the other side stays open
+                (up if left_sign > 0.0 else down)[left] = -1.0
+            # an event computed at or above lam is a tie: it happens at lam itself
+            up, down, drop = np.minimum(up, lam), np.minimum(down, lam), np.minimum(drop, lam)
+            j_up, j_down, i_drop = int(np.argmax(up)), int(np.argmax(down)), int(np.argmax(drop))
+            lam_next = max(up[j_up], down[j_down], drop[i_drop], 0.0)
+
+            slack = eps * eps - float(r_ls @ r_ls)
+            lam_eps = math.sqrt(slack / float(w @ w)) if slack >= 0.0 else -1.0
+            done = True
+            if lam_eps >= lam_next:
+                lam = min(lam_eps, lam)
+            elif lam_next <= _LAM_FLOOR * lam0:
+                lam = 0.0
+            else:
+                lam, done = lam_next, steps == 4 * n
+            x[:] = 0.0
+            x[active] = x_ls - lam * d
+            if done:
+                break
+            left = -1
+            if drop[i_drop] == lam:
+                left = active.pop(i_drop)
+                left_sign = signs.pop(i_drop)
+            elif up[j_up] == lam:
+                active.append(j_up)
+                signs.append(1.0)
+            else:
+                active.append(j_down)
+                signs.append(-1.0)
+        v = (y - B @ x) / lam if lam > 0.0 else u
+
+    status = "converged" if _kkt_holds(B, y, eps, x, v) else "uncertified"
+    return RecoveryResult(
+        x_hat=x,
+        objective=float(np.abs(x).sum()),
+        residual_norm=float(np.linalg.norm(y - B @ x)),
+        iterations=steps,
+        status=status,
+    )
 
 
 def eta_grid_oracle(D, p: SgammaParams, resolution: int = 2000) -> float:

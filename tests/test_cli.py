@@ -189,23 +189,27 @@ def test_recover_D_width_mismatch_exits_1(tmp_path, capsys):
 
 def test_recover_err_x_is_the_campaign_norm(tmp_path, capsys):
     # err_x is np.linalg.norm(x_hat - x0), bit for bit, as in phase_transition
-    rng = RngStream(93)
-    B = rng.normal((20, 40))
-    x0 = np.zeros(40)
-    x0[np.sort(rng.permutation(40)[:3])] = rng.normal(3)
-    write_matrix_text(tmp_path / "B.txt", B)
-    write_vector_text(tmp_path / "y.txt", B @ x0 + 0.1 * rng.unit_vector(20))
-    write_vector_text(tmp_path / "x0.txt", x0)
-    code, out, _ = run_cli(
-        capsys, "recover", "--B", str(tmp_path / "B.txt"), "--y", str(tmp_path / "y.txt"),
-        "--eps", "0.1", "--x0", str(tmp_path / "x0.txt"),
-    )
-    assert code == 0
-    payload = json.loads(out)
-    diff = np.array(payload["x_hat"]) - x0
-    assert payload["err_x"] == float(np.linalg.norm(diff))
-    # a sum of squares in index order rounds differently on this problem
-    assert payload["err_x"] != sum(v * v for v in diff.tolist()) ** 0.5
+    discriminating = 0
+    for seed in range(93, 125):
+        rng = RngStream(seed)
+        B = rng.normal((20, 40))
+        x0 = np.zeros(40)
+        x0[np.sort(rng.permutation(40)[:3])] = rng.normal(3)
+        write_matrix_text(tmp_path / "B.txt", B)
+        write_vector_text(tmp_path / "y.txt", B @ x0 + 0.1 * rng.unit_vector(20))
+        write_vector_text(tmp_path / "x0.txt", x0)
+        code, out, _ = run_cli(
+            capsys, "recover", "--B", str(tmp_path / "B.txt"), "--y", str(tmp_path / "y.txt"),
+            "--eps", "0.1", "--x0", str(tmp_path / "x0.txt"),
+        )
+        assert code == 0
+        payload = json.loads(out)
+        diff = np.array(payload["x_hat"]) - x0
+        assert payload["err_x"] == float(np.linalg.norm(diff)), seed
+        discriminating += payload["err_x"] != sum(v * v for v in diff.tolist()) ** 0.5
+    # a sum of squares in index order rounds differently on some of these
+    # problems, so the equality above tells the two norms apart
+    assert discriminating >= 1
 
 
 def test_recover_signal_from_dictionary(tmp_path, capsys):

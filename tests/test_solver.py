@@ -11,7 +11,7 @@ from nsplab.nsp import certify_nsp
 from nsplab.rng import RngStream
 from nsplab.solver import solve_l1_synthesis
 from nsplab.subgaussian import make_spec, sample_measurement_matrix
-from oracles import best_s_term_error, bp_objective_oracle
+from oracles import best_s_term_error, bp_objective_oracle, solve_l1_synthesis_qr
 
 
 def certified_optimum(B, y, eps, x_approx):
@@ -320,11 +320,134 @@ class TestTieRule:
         for B, y, u in _rademacher_problems():
             _against_oracle(B, y + eps * u, eps)
 
+    def test_zero_length_leaves_do_not_cycle(self):
+        # Basis pursuit on Rademacher rows where a ban that lasted one step let
+        # two tied columns take turns joining and leaving at one lam, each
+        # leave a zero-length step, until the 4 n cap returned 'uncertified':
+        # the first six on a fresh QR per step, the last six on updated factors.
+        spec = make_spec("rademacher", 20, width_constant=1.0)
+        for seed, m, trial in ((1003, 8, 5), (1012, 6, 9), (1013, 8, 4),
+                               (1017, 6, 1), (1017, 6, 9), (1019, 6, 1),
+                               (1007, 14, 7), (1013, 8, 8), (1019, 6, 7),
+                               (1025, 10, 9), (1030, 6, 7), (1042, 8, 9)):
+            sub = RngStream(seed).substream(m, trial)
+            B = sample_measurement_matrix(spec, m, sub)
+            x0 = np.zeros(20)
+            x0[np.sort(sub.permutation(20)[:3])] = sub.normal(3)
+            _against_oracle(B, B @ x0, 0.0)
+
     def test_tied_support_problem(self):
         y = np.array([0.0, 0.0, 0.0, 1.0])
         res = _against_oracle(TIED_BP, y, 0.0)
         assert res.objective == pytest.approx(5.0, abs=1e-9)
         assert res.residual_norm <= 1e-12
+
+
+def _splitting_problems():
+    """The planted problems of TestSplitting: 6x12 at eps = 0.05, 20x40 noiseless."""
+    for seed, m, n, s, eps, trials in ((84, 6, 12, 2, 0.05, 8), (85, 20, 40, 3, 0.0, 10)):
+        rng = RngStream(seed)
+        for trial in range(trials):
+            sub = rng.substream(trial)
+            B = sub.normal((m, n))
+            x0 = np.zeros(n)
+            x0[sub.permutation(n)[:s]] = sub.normal(s)
+            yield B, (B @ x0 + eps * sub.unit_vector(m) if eps > 0.0 else B @ x0), eps
+
+
+def _degenerate_problems():
+    """Duplicated (the first 20 trials), zero and rank-deficient columns, as
+    TestHomotopyDegenerateInputs builds them, and columns b_j + 1e-8 noise
+    near a twin (eps > 0)."""
+    for eps in (0.0, 0.05):
+        rng = RngStream(260)
+        for trial in range(20):
+            sub = rng.substream(trial)
+            twin = int(sub.integers(0, 11))
+            B = sub.normal((6, 11))
+            B = np.column_stack([B, B[:, twin]])
+            x0 = np.zeros(12)
+            x0[sub.permutation(12)[:2]] = sub.normal(2)
+            yield B, B @ x0 + eps * sub.unit_vector(6), eps
+        B, y = _planted(261, 8, 14, 2, eps)
+        B[:, 5] = 0.0
+        yield B, y, eps
+        rng = RngStream(262)
+        B = rng.normal((8, 4)) @ rng.normal((4, 14))
+        x0 = np.zeros(14)
+        x0[[2, 9]] = [1.5, -0.7]
+        e = B @ rng.unit_vector(14)
+        yield B, B @ x0 + eps * e / np.linalg.norm(e), eps
+    rng = RngStream(264)
+    for trial in range(40):
+        sub = rng.substream(trial)
+        B = sub.normal((8, 16))
+        j, twin = sub.permutation(16)[:2]
+        B[:, twin] = B[:, j] + 1e-8 * sub.normal(8)
+        x0 = np.zeros(16)
+        x0[sub.permutation(16)[:2]] = sub.normal(2)
+        yield B, B @ x0 + 0.05 * sub.unit_vector(8), 0.05
+
+
+def _record_joins(monkeypatch):
+    """Record the factor size k at each solver._join call, one list per solve,
+    and check the factors it leaves: Q orthonormal, R^-1 upper triangular,
+    Q R's new column equal to b and z = Q^T y."""
+    paths = []
+    join = solver._join
+
+    def spy(b, y, Q, Rinv, z, k):
+        if k == 0:
+            paths.append([])
+        paths[-1].append(k)
+        out = join(b, y, Q, Rinv, z, k)
+        Qk, Rk = Q[:, :out], Rinv[:out, :out]
+        assert np.abs(Qk.T @ Qk - np.eye(out)).max() <= 1e-12
+        assert np.array_equal(np.triu(Rk), Rk)
+        r = np.linalg.solve(Rk, np.eye(out)[:, k])  # last column of R = Rinv^-1
+        assert np.linalg.norm(Qk @ r - b) <= 1e-10 * np.linalg.norm(b)
+        assert np.abs(z[:out] - Qk.T @ y).max() <= 1e-12 * np.linalg.norm(y)
+        return out
+
+    monkeypatch.setattr(solver, "_join", spy)
+    return paths
+
+
+class TestUpdatedFactors:
+    """The solver appends one Gram-Schmidt column per join and truncates and
+    re-joins on a leave; oracles.solve_l1_synthesis_qr is the same path on a
+    fresh QR and three LU solves per step.  Where lam moves on every step the
+    two differ only in rounding."""
+
+    @staticmethod
+    def _same_path(B, y, eps):
+        got, want = solve_l1_synthesis(B, y, eps), solve_l1_synthesis_qr(B, y, eps)
+        assert (got.status, got.iterations) == (want.status, want.iterations)
+        if want.x_hat is not None:
+            tol = 1e-12 * max(1.0, float(np.abs(want.x_hat).sum()))
+            assert np.abs(got.x_hat - want.x_hat).max() <= tol
+
+    def test_same_paths_as_a_fresh_qr_per_step(self, monkeypatch):
+        paths = _record_joins(monkeypatch)
+        cases = [(B, y, eps) for B, y in _phase_problems() for eps in (0.0, 0.01)]
+        cases += [*_splitting_problems(), *_degenerate_problems()]
+        for B, y, eps in cases:
+            self._same_path(B, y, eps)
+        # a leave truncates the factors and re-joins the later columns, so the
+        # sizes stop counting up by one; some of these paths do that
+        leaves = [ks for ks in paths if ks != list(range(len(ks)))]
+        assert leaves
+        assert any(ks[i + 1] < ks[i] for ks in leaves for i in range(len(ks) - 1))
+
+    @pytest.mark.parametrize("eps", [0.0, 0.01])
+    def test_tied_paths_reach_the_same_optimum(self, eps):
+        # Rademacher ties are broken by rounding, so the two routes may take
+        # different steps; both certify, and the optimal value is the same
+        for B, y, u in _rademacher_problems():
+            got = solve_l1_synthesis(B, y + eps * u, eps)
+            want = solve_l1_synthesis_qr(B, y + eps * u, eps)
+            assert got.status == want.status == "converged"
+            assert got.objective == pytest.approx(want.objective, abs=1e-9 * max(1.0, want.objective))
 
 
 class TestHomotopyDegenerateInputs:
