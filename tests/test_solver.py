@@ -94,8 +94,7 @@ class TestBasisPursuitLp:
 
     def test_infeasible_when_y_outside_range(self):
         B = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank one
-        res = solve_l1_synthesis(B, np.array([1.0, 0.0]))
-        assert res.status == "infeasible" and res.x_hat is None
+        assert _assert_infeasible(B, np.array([1.0, 0.0]), 0.0).iterations > 0
 
     def test_minimality_against_planted_points(self):
         rng = RngStream(81)
@@ -142,9 +141,9 @@ class TestSplitting:
 
     def test_infeasible_ball(self):
         B = np.array([[1.0, 0.0], [0.0, 0.0]])  # range is the x-axis
-        y = np.array([0.0, 1.0])
-        res = solve_l1_synthesis(B, y, 0.1)
-        assert res.status == "infeasible"
+        # y is orthogonal to range(B), so B^T y = 0 and the path takes no step
+        assert _assert_infeasible(B, np.array([0.0, 1.0]), 0.1).iterations == 0
+        assert _assert_infeasible(B, np.array([1.0, 1.0]), 0.1).iterations > 0
 
     def test_matches_lp_objective_noiseless(self):
         rng = RngStream(85)
@@ -261,6 +260,15 @@ def _assert_kkt(B, y, eps, res):
     if eps > 0.0 and np.any(res.x_hat):
         v = r / np.abs(B.T @ r).max()
         assert solver._kkt_holds(B, y, eps, res.x_hat, v)
+
+
+def _assert_infeasible(B, y, eps):
+    """The path's point fails the optimality check, and the distance test after
+    it says 'infeasible', as the oracle's test before its path does."""
+    res = solve_l1_synthesis(B, y, eps)
+    assert res.status == solve_l1_synthesis_qr(B, y, eps).status == "infeasible"
+    assert res.x_hat is None
+    return res
 
 
 def _against_oracle(B, y, eps):
@@ -522,8 +530,7 @@ class TestHomotopyDegenerateInputs:
         y = rng.normal(12)
         fit, *_ = np.linalg.lstsq(B, y, rcond=None)
         dist = float(np.linalg.norm(y - B @ fit))
-        res = solve_l1_synthesis(B, y, 0.9 * dist)
-        assert res.status == "infeasible" and res.x_hat is None
+        assert _assert_infeasible(B, y, 0.9 * dist).iterations > 0
 
     def test_perturbed_point_is_uncertified(self):
         B, y = _planted(272, 10, 18, 2, 0.05)
@@ -545,6 +552,38 @@ class TestHomotopyDegenerateInputs:
         res = solve_l1_synthesis(B, y, 0.05)
         assert res.status == "uncertified"
         assert res.x_hat.tobytes() == certified.x_hat.tobytes()  # the point is still returned
+
+    def test_distance_to_range_only_after_a_failed_check(self, monkeypatch):
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        for B, y in _phase_problems():
+            assert solve_l1_synthesis(B, y, 0.01).status == "converged"
+        assert not calls
+        res = solve_l1_synthesis(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 0.0]))
+        assert res.status == "infeasible" and len(calls) == 1
+
+    def test_tiny_ball_around_a_noiseless_point(self):
+        # At a small final lam, r = y - B x is a cancellation, and its rounding
+        # over lam broke dual feasibility: the dual vector comes from the factors.
+        for trial in range(20):
+            sub = RngStream(300).substream(trial)
+            B = sub.normal((8, 16))
+            x0 = np.zeros(16)
+            x0[sub.permutation(16)[:2]] = sub.normal(2)
+            y = B @ x0
+            for eps in (1e-13, 1e-11, 1e-9, 1e-7):
+                res = solve_l1_synthesis(B, y, eps)
+                assert res.status == "converged", (trial, eps)
+                assert res.residual_norm <= eps + 1e-9 * max(1.0, np.linalg.norm(y))
+                assert res.objective <= np.abs(x0).sum() + 1e-9
+                want = solve_l1_synthesis_qr(B, y, eps)  # same path, same point
+                assert np.abs(res.x_hat - want.x_hat).max() <= 1e-12 * max(1.0, want.objective)
 
 
 class TestRecoveryNspLink:
